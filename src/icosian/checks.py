@@ -1,19 +1,22 @@
 """Machine verification of every quantitative claim in the package.
 
-Each check has a stable dotted id, a short statement of the claim, and an
-expected/actual pair; exact checks compare structurally, the coincidence
-checks compare within display-precision tolerances.  run_checks drives the
-registry and is the engine behind the `verify` subcommand.
+Each check is declared with the @check decorator, which carries its stable
+dotted id, a short description, the claim and the expected value
+statically; the body computes only the actual value.  Exact checks compare
+structurally; the coincidence checks return the list of display-precision
+failures from the coincidence module.  Claims that the exact computation
+contradicts are flagged known_defect and stay in the registry as failures.
+run_checks drives the registry and is the engine behind `verify`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import wraps
 
 from . import census, coincidence, spans
 from .chars import LABELS, char_table, format_decomposition, gauge_bookkeeping
 from .goldnum import Gold
-from .qmat2 import IDENTITY, Spinor2
+from .qmat2 import IDENTITY, Spinor2, spinor_norm2
 from .quat import THETA, ZERO as Q_ZERO, Quat
 from .reflgroup import (
     build_o1,
@@ -78,52 +81,77 @@ class VerificationReport:
         }
 
 
-def _result(id_: str, description: str, claim: str, expected, actual) -> CheckResult:
-    status = "pass" if expected == actual else "fail"
-    return CheckResult(id_, description, claim, str(expected), str(actual), status)
+_registered = []
+
+
+def check(id_: str, description: str, claim: str, expected,
+          known_defect: bool = False):
+    """Register a check whose body returns the actual value.
+
+    The metadata is stored on the returned zero-argument callable, so the
+    registry can be listed and filtered without running anything.  A
+    ValueError raised by the body becomes a failing row whose actual value
+    is the error text.
+    """
+    def register(body):
+        @wraps(body)
+        def run() -> CheckResult:
+            try:
+                actual = body()
+            except ValueError as e:
+                actual = str(e)
+            status = "pass" if expected == actual else "fail"
+            return CheckResult(id_, description, claim, str(expected),
+                               str(actual), status)
+        run.id = id_
+        run.description = description
+        run.claim = claim
+        run.expected = expected
+        run.known_defect = known_defect
+        _registered.append(run)
+        return run
+    return register
 
 
 # -- individual checks --------------------------------------------------
 
-def check_group_order() -> CheckResult:
+@check("group.order", "orders of the full and diagonal groups",
+       "the generators close at order 120; the diagonal subgroup has order"
+       " 12 and is maximal",
+       (120, 12, True))
+def check_group_order():
     g = build_o1()
     d = diagonal_subgroup()
     d_set = frozenset(g.index(m) for m in d.elements)
-    actual = (len(g), len(d), g.is_maximal(d_set))
-    return _result("group.order", "orders of the full and diagonal groups",
-                   "the generators close at order 120; the diagonal subgroup"
-                   " has order 12 and is maximal",
-                   (120, 12, True), actual)
+    return len(g), len(d), g.is_maximal(d_set)
 
 
-def check_group_relations() -> CheckResult:
-    try:
-        generators()  # raises unless all six relations hold
-        actual = "all relations hold"
-    except ValueError as e:
-        actual = str(e)
-    return _result("group.relations", "defining relations of f, g, h",
-                   "f^2 = (gh)^2 = h^2 = -1 and g^3 = (fg)^3 = (fh)^3 = 1",
-                   "all relations hold", actual)
+@check("group.relations", "defining relations of f, g, h",
+       "f^2 = (gh)^2 = h^2 = -1 and g^3 = (fg)^3 = (fh)^3 = 1",
+       "all relations hold")
+def check_group_relations():
+    generators()  # raises unless all six relations hold
+    return "all relations hold"
 
 
-def check_roots_count() -> CheckResult:
-    rs = roots()
-    distinct = len({r.spinor for r in rs})
-    return _result("roots.count", "number of distinct roots",
-                   "the 10 base spinors times 12 scalars give 120 distinct"
-                   " roots", 120, distinct)
+@check("roots.count", "number of distinct roots",
+       "the 10 base spinors times 12 scalars give 120 distinct roots", 120)
+def check_roots_count():
+    return len({r.spinor for r in roots()})
 
 
-def check_roots_norm() -> CheckResult:
-    from .qmat2 import spinor_norm2
+@check("roots.norm", "squared norm of every root",
+       "every root has squared norm exactly 3", "0 exceptions")
+def check_roots_norm():
     bad = sum(1 for r in roots() if spinor_norm2(r.spinor) != Quat.of(3))
-    return _result("roots.norm", "squared norm of every root",
-                   "every root has squared norm exactly 3",
-                   "0 exceptions", f"{bad} exceptions")
+    return f"{bad} exceptions"
 
 
-def check_roots_reflections() -> CheckResult:
+@check("roots.reflections", "the reflection family",
+       "20 distinct order-3 reflections in 10 inverse pairs; the reflection"
+       " of (theta, 0) is g; the reflections generate the whole group",
+       (20, [3], 10, True, True))
+def check_roots_reflections():
     g_full = build_o1()
     refl = reflection_matrices()
     orders = {g_full.element_order(g_full.index(m)) for m in refl}
@@ -131,58 +159,49 @@ def check_roots_reflections() -> CheckResult:
                             g_full.inverse[g_full.index(m)]}) for m in refl})
     anchor = reflection_of(Spinor2(THETA, Q_ZERO)) == generators()[1]
     same_set = reflection_group().element_set() == g_full.element_set()
-    actual = (len(refl), sorted(orders), pairs, anchor, same_set)
-    return _result("roots.reflections", "the reflection family",
-                   "20 distinct order-3 reflections in 10 inverse pairs;"
-                   " the reflection of (theta, 0) is g; the reflections"
-                   " generate the whole group",
-                   (20, [3], 10, True, True), actual)
+    return len(refl), sorted(orders), pairs, anchor, same_set
 
 
-def check_roots_tworefl() -> CheckResult:
-    count = two_reflection_census(build_o1())
-    return _result("roots.tworefl", "non-reflections as two-reflection"
-                   " products",
-                   "all 100 non-reflection elements are products of two"
-                   " reflections (observed: the 24 order-5 elements and"
-                   " -identity are not; only their negatives are)",
-                   100, count)
+@check("roots.tworefl", "non-reflections as two-reflection products",
+       "all 100 non-reflection elements are products of two reflections"
+       " (observed: the 24 order-5 elements and -identity are not; only"
+       " their negatives are)",
+       100, known_defect=True)
+def check_roots_tworefl():
+    return two_reflection_census(build_o1())
 
 
-def check_gamma_group() -> CheckResult:
-    gg = gamma_group()
+@check("gamma.group", "the Clifford gamma group",
+       "the four gamma matrices generate a group of order 32 whose"
+       " non-central involutions are exactly the ten listed products, all"
+       " squaring to +identity",
+       (32, True, 10, True))
+def check_gamma_group():
     found, listed = gamma_reflections()
     squares = all(m * m == IDENTITY for m in listed)
-    actual = (len(gg), set(found) == set(listed), len(found), squares)
-    return _result("gamma.group", "the Clifford gamma group",
-                   "the four gamma matrices generate a group of order 32"
-                   " whose non-central involutions are exactly the ten"
-                   " listed products, all squaring to +identity",
-                   (32, True, 10, True), actual)
+    return len(gamma_group()), set(found) == set(listed), len(found), squares
 
 
-def check_chars_table() -> CheckResult:
+@check("chars.table", "shape of the character table",
+       "nine orthonormal irreducibles of dimensions 1,2,2,3,3,4,4,5,6 over"
+       " nine classes of sizes 1,1,12,12,12,12,20,20,30",
+       ([1, 2, 2, 3, 3, 4, 4, 5, 6], 120, True,
+        [1, 1, 12, 12, 12, 12, 20, 20, 30]))
+def check_chars_table():
     ct = char_table()
     dims = sorted(chi.dim.na for chi in ct.irreducibles)
-    sum_sq = sum(d * d for d in dims)
-    one = Gold(1)
-    zero = Gold(0)
     ortho = all(
-        ct.inner(a, b) == (one if i == j else zero)
+        ct.inner(a, b) == (1 if i == j else 0)
         for i, a in enumerate(ct.irreducibles)
         for j, b in enumerate(ct.irreducibles)
     )
-    sizes = sorted(ct.class_sizes)
-    actual = (dims, sum_sq, ortho, sizes)
-    return _result("chars.table", "shape of the character table",
-                   "nine orthonormal irreducibles of dimensions"
-                   " 1,2,2,3,3,4,4,5,6 over nine classes of sizes"
-                   " 1,1,12,12,12,12,20,20,30",
-                   ([1, 2, 2, 3, 3, 4, 4, 5, 6], 120, True,
-                    [1, 1, 12, 12, 12, 12, 20, 20, 30]), actual)
+    return dims, sum(d * d for d in dims), ortho, sorted(ct.class_sizes)
 
 
-def check_chars_columns() -> CheckResult:
+@check("chars.columns", "column orthogonality",
+       "columns of the table are orthogonal with squared length |G| / class"
+       " size", True)
+def check_chars_columns():
     ct = char_table()
     n = len(ct.classes)
     ok = True
@@ -193,20 +212,17 @@ def check_chars_columns() -> CheckResult:
                 s = s + chi.values[c] * chi.values[d]
             want = Gold(120, 0, ct.class_sizes[c]) if c == d else Gold(0)
             ok = ok and s == want
-    return _result("chars.columns", "column orthogonality",
-                   "columns of the table are orthogonal with squared length"
-                   " |G| / class size", True, ok)
+    return ok
 
 
-def check_chars_fs() -> CheckResult:
+@check("chars.fs", "Frobenius-Schur indicators",
+       "indicators are +1 (real) on 1, 3a, 3b, 4a, 5 and -1 (quaternionic)"
+       " on 2a, 2b, 4b, 6",
+       {"1": 1, "2a": -1, "2b": -1, "3a": 1, "3b": 1,
+        "4a": 1, "4b": -1, "5": 1, "6": -1})
+def check_chars_fs():
     ct = char_table()
-    actual = {chi.label: ct.fs_indicator(chi) for chi in ct.irreducibles}
-    expected = {"1": 1, "2a": -1, "2b": -1, "3a": 1, "3b": 1,
-                "4a": 1, "4b": -1, "5": 1, "6": -1}
-    return _result("chars.fs", "Frobenius-Schur indicators",
-                   "indicators are +1 (real) on 1, 3a, 3b, 4a, 5 and -1"
-                   " (quaternionic) on 2a, 2b, 4b, 6",
-                   expected, actual)
+    return {chi.label: ct.fs_indicator(chi) for chi in ct.irreducibles}
 
 
 TENSOR_IDENTITIES = (
@@ -229,7 +245,10 @@ TENSOR_SUM_IDENTITIES = (
 )
 
 
-def check_chars_tensor() -> CheckResult:
+@check("chars.tensor", "tensor product decompositions",
+       "every quoted tensor identity holds with exact integer multiplicities",
+       "no failures")
+def check_chars_tensor():
     ct = char_table()
     failures = []
     for (a, b), want in TENSOR_IDENTITIES:
@@ -247,45 +266,44 @@ def check_chars_tensor() -> CheckResult:
         if got != want:
             failures.append(f"({'+'.join(left)})*({'+'.join(right)}) = {got}"
                             f" != {want}")
-    return _result("chars.tensor", "tensor product decompositions",
-                   "every quoted tensor identity holds with exact integer"
-                   " multiplicities",
-                   "no failures", "; ".join(failures) or "no failures")
+    return "; ".join(failures) or "no failures"
 
 
-def check_chars_galois() -> CheckResult:
+@check("chars.galois", "Galois action on the table",
+       "the sqrt5 automorphism swaps 2a with 2b and 3a with 3b and fixes the"
+       " other five characters", True)
+def check_chars_galois():
     ct = char_table()
     swaps = {"2a": "2b", "2b": "2a", "3a": "3b", "3b": "3a"}
-    ok = all(
+    return all(
         ct.by_label[lab].galois().values
         == ct.by_label[swaps.get(lab, lab)].values
         for lab in LABELS
     )
-    return _result("chars.galois", "Galois action on the table",
-                   "the sqrt5 automorphism swaps 2a with 2b and 3a with 3b"
-                   " and fixes the other five characters", True, ok)
 
 
 HYPERSPIN_EXPECTED = ("1", "2a", "3a", "4b", "5", "6", "3b+4a", "2b+6")
 
 
-def check_hyperspin_table() -> CheckResult:
-    ct = char_table()
-    rows = tuple(
-        format_decomposition(m) for _, m in ct.hyperspin_table(7)
-    )
+@check("hyperspin.table",
+       "branching of the ambient spin representations",
+       "restricting spins 0 through 7/2 yields the listed rows and covers"
+       " all nine irreducibles",
+       (HYPERSPIN_EXPECTED, True))
+def check_hyperspin_table():
+    table = char_table().hyperspin_table(7)
+    rows = tuple(format_decomposition(m) for _, m in table)
     covered = set()
-    for _, m in ct.hyperspin_table(7):
+    for _, m in table:
         covered |= set(m)
-    actual = (rows, covered == set(LABELS))
-    return _result("hyperspin.table", "branching of the ambient spin"
-                   " representations",
-                   "restricting spins 0 through 7/2 yields the listed rows"
-                   " and covers all nine irreducibles",
-                   (HYPERSPIN_EXPECTED, True), actual)
+    return rows, covered == set(LABELS)
 
 
-def check_algebra_dims() -> CheckResult:
+@check("algebra.dims", "generated algebra dimensions and identities",
+       "reflections generate dimension 16; 1, g, g^2 give 3 and adjoining h"
+       " gives 6; all displayed identities and corner tables hold",
+       ((16, 3, 6, 16), []))
+def check_algebra_dims():
     _, g, h = generators()
     dims = (
         spans.algebra_closure_dim(list(reflection_matrices())),
@@ -295,174 +313,102 @@ def check_algebra_dims() -> CheckResult:
     )
     reports = (spans.neutrino_algebra_report() + spans.su2_u1_split_report()
                + spans.reflection_algebra_report())
-    failing = [c["name"] for c in reports if not c["pass"]]
-    actual = (dims, failing)
-    return _result("algebra.dims", "generated algebra dimensions and"
-                   " identities",
-                   "reflections generate dimension 16; 1, g, g^2 give 3 and"
-                   " adjoining h gives 6; all displayed identities and"
-                   " corner tables hold",
-                   ((16, 3, 6, 16), []), actual)
+    return dims, [c["name"] for c in reports if not c["pass"]]
 
 
-def check_orbits_order4() -> CheckResult:
-    claims = census.order4_claims()
-    failing = [c["name"] for c in claims if not c["pass"]]
-    sizes = census.order4_census().orbit_sizes
-    return _result("orbits.order4", "diagonal conjugation orbits on order-4"
-                   " sign-pairs",
-                   "the 15 sign-pairs fall into orbits 3+6+6 with the"
-                   " listed member families (observed: 3+3+3+6; the third"
-                   " family is a union of two 3-orbits)",
-                   ("(3, 6, 6)", []), (str(sizes), failing))
+@check("orbits.order4", "diagonal conjugation orbits on order-4 sign-pairs",
+       "the 15 sign-pairs fall into orbits 3+6+6 with the listed member"
+       " families (observed: 3+3+3+6; the third family is a union of two"
+       " 3-orbits)",
+       ("(3, 6, 6)", []), known_defect=True)
+def check_orbits_order4():
+    failing = [c["name"] for c in census.order4_claims() if not c["pass"]]
+    return str(census.order4_census().orbit_sizes), failing
 
 
-def check_orbits_q8() -> CheckResult:
+@check("orbits.q8", "quaternion subgroups and the product pairing",
+       "five quaternion subgroups of order 8, two normalized by g and filled"
+       " by the 6-orbit; the remaining six sign-pairs match into three"
+       " couples whose products lie in the diagonal subgroup",
+       (5, 2, True, True))
+def check_orbits_q8():
     s = census.order4_structure()
-    actual = (s["q8_total"], s["q8_normalized_by_g"],
-              s["photon_orbit_fills_q8_pair"], s["product_matching"] is not None)
-    return _result("orbits.q8", "quaternion subgroups and the product"
-                   " pairing",
-                   "five quaternion subgroups of order 8, two normalized by"
-                   " g and filled by the 6-orbit; the remaining six"
-                   " sign-pairs match into three couples whose products lie"
-                   " in the diagonal subgroup",
-                   (5, 2, True, True), actual)
+    return (s["q8_total"], s["q8_normalized_by_g"],
+            s["photon_orbit_fills_q8_pair"], s["product_matching"] is not None)
 
 
-def check_orbits_order3() -> CheckResult:
-    try:
-        c = census.order3_census()
-        actual = str(c.orbit_sizes)
-    except ValueError as e:
-        actual = str(e)
-    return _result("orbits.order3", "diagonal conjugation orbits on order-3"
-                   " inverse-pairs",
-                   "the 10 inverse-pairs fall into orbits 1+3+6 with the"
-                   " listed fixed, pion-like and kaon-like families",
-                   "(1, 3, 6)", actual)
+@check("orbits.order3", "diagonal conjugation orbits on order-3"
+       " inverse-pairs",
+       "the 10 inverse-pairs fall into orbits 1+3+6 with the listed fixed,"
+       " pion-like and kaon-like families",
+       "(1, 3, 6)")
+def check_orbits_order3():
+    return str(census.order3_census().orbit_sizes)
 
 
-def check_orbits_order5() -> CheckResult:
-    try:
-        c = census.order5_census()
-        actual = (c["cyclic_groups"], c["sign_classes_total"], c["covered"])
-    except ValueError as e:
-        actual = str(e)
-    return _result("orbits.order5", "cyclic coverage of the order-5"
-                   " material",
-                   "the six listed generators give six distinct cyclic"
-                   " groups covering all 24 sign-classes of order-5/10"
-                   " elements",
-                   (6, 24, True), actual)
+@check("orbits.order5", "cyclic coverage of the order-5 material",
+       "the six listed generators give six distinct cyclic groups covering"
+       " all 24 sign-classes of order-5/10 elements",
+       (6, 24, True))
+def check_orbits_order5():
+    c = census.order5_census()
+    return c["cyclic_groups"], c["sign_classes_total"], c["covered"]
 
 
-def check_census_roots() -> CheckResult:
+@check("census.roots", "root class bookkeeping",
+       "10 classes of 12 roots split 12 + 36 + 72; the scalar group has"
+       " order 12 with a nonabelian order-6 rotation image",
+       (10, 12, {"neutrino-like": 12, "electron-like": 36, "quark-like": 72},
+        12, 6, True))
+def check_census_roots():
     b = census.root_bookkeeping()
-    actual = (b["classes"], b["class_size"], b["states_by_label"],
-              b["scalar_group_order"], b["so3_image_order"],
-              b["so3_image_nonabelian"])
-    return _result("census.roots", "root class bookkeeping",
-                   "10 classes of 12 roots split 12 + 36 + 72; the scalar"
-                   " group has order 12 with a nonabelian order-6 rotation"
-                   " image",
-                   (10, 12, {"neutrino-like": 12, "electron-like": 36,
-                             "quark-like": 72}, 12, 6, True), actual)
+    return (b["classes"], b["class_size"], b["states_by_label"],
+            b["scalar_group_order"], b["so3_image_order"],
+            b["so3_image_nonabelian"])
 
 
-def check_gauge_bookkeeping() -> CheckResult:
+@check("gauge.bookkeeping", "gauge dimension bookkeeping",
+       "37 symplectic dimensions reduce to 15, losing 2 + 7 + 13 = 22,"
+       " identically in both variants",
+       (37, 15, 22, (2, 7, 13), 37, 15))
+def check_gauge_bookkeeping():
     a, b = gauge_bookkeeping()
-    actual = (a.total, a.kept, a.lost, a.lost_split, b.total, b.kept)
-    return _result("gauge.bookkeeping", "gauge dimension bookkeeping",
-                   "37 symplectic dimensions reduce to 15, losing"
-                   " 2 + 7 + 13 = 22, identically in both variants",
-                   (37, 15, 22, (2, 7, 13), 37, 15), actual)
+    return a.total, a.kept, a.lost, a.lost_split, b.total, b.kept
 
 
-def _tol(name: str, value: float, target: float, tol: float) -> str | None:
-    if math.isfinite(value) and abs(value - target) <= tol:
-        return None
-    return f"{name} = {value!r} not within {tol} of {target}"
+@check("coincidence.np", "neutron/proton calendar coincidence",
+       "1 + 1/(2 * 365.24) prints as 1.001369 and sits within 1e-5 of the"
+       " mass ratio 1.001378", [])
+def check_coincidence_np():
+    return coincidence.np_failures()
 
 
-def check_coincidence_np() -> CheckResult:
-    v = coincidence.np_coincidence()
-    fails = [x for x in (
-        _tol("value", v, 1.001369, 5e-7),
-        _tol("mass ratio gap", v, coincidence.MASS_RATIO_NP, 1e-5),
-    ) if x]
-    return _result("coincidence.np", "neutron/proton calendar coincidence",
-                   "1 + 1/(2 * 365.24) prints as 1.001369 and sits within"
-                   " 1e-5 of the mass ratio 1.001378",
-                   [], fails)
+@check("coincidence.ep", "electron/proton tilt coincidence",
+       "sin(23.44 deg)/(2 * 365.24) prints as 0.000544558, within 1e-7 of"
+       " the mass ratio 0.000544617", [])
+def check_coincidence_ep():
+    return coincidence.ep_failures()
 
 
-def check_coincidence_ep() -> CheckResult:
-    v = coincidence.ep_coincidence()
-    fails = [x for x in (
-        _tol("value", v, 0.000544558, 5e-10),
-        _tol("mass ratio gap", v, coincidence.MASS_RATIO_EP, 1e-7),
-    ) if x]
-    return _result("coincidence.ep", "electron/proton tilt coincidence",
-                   "sin(23.44 deg)/(2 * 365.24) prints as 0.000544558,"
-                   " within 1e-7 of the mass ratio 0.000544617",
-                   [], fails)
+@check("coincidence.tilt", "tilt angle making the coincidence exact",
+       "sin(theta) = 2 * 365.24 * 0.000544617 = 0.3978318 gives theta ="
+       " 23.442704 degrees = 23d 26m 33.7s", [])
+def check_coincidence_tilt():
+    return coincidence.tilt_failures()
 
 
-def check_coincidence_tilt() -> CheckResult:
-    t = coincidence.tilt_inversion()
-    d, m, s = t.dms
-    dms_ok = (d, m) == (23, 26) and abs(s - 33.7) <= 0.1
-    fails = [x for x in (
-        _tol("sine", t.sine, 0.3978318, 5e-8),
-        _tol("degrees", t.degrees, 23.442704, 5e-6),
-        None if dms_ok else f"dms = {t.dms_string()}",
-    ) if x]
-    return _result("coincidence.tilt", "tilt angle making the coincidence"
-                   " exact",
-                   "sin(theta) = 2 * 365.24 * 0.000544617 = 0.3978318 gives"
-                   " theta = 23.442704 degrees = 23d 26m 33.7s",
-                   [], fails)
+REGISTRY = tuple(_registered)
 
-
-REGISTRY = (
-    check_group_order,
-    check_group_relations,
-    check_roots_count,
-    check_roots_norm,
-    check_roots_reflections,
-    check_roots_tworefl,
-    check_gamma_group,
-    check_chars_table,
-    check_chars_columns,
-    check_chars_fs,
-    check_chars_tensor,
-    check_chars_galois,
-    check_hyperspin_table,
-    check_algebra_dims,
-    check_orbits_order4,
-    check_orbits_q8,
-    check_orbits_order3,
-    check_orbits_order5,
-    check_census_roots,
-    check_gauge_bookkeeping,
-    check_coincidence_np,
-    check_coincidence_ep,
-    check_coincidence_tilt,
-)
-
-KNOWN_DEFECTS = {
-    # claims stated by the source material that the exact computation
-    # contradicts; kept in the registry so the defect stays visible
-    "roots.tworefl",
-    "orbits.order4",
-}
+# claims stated by the source material that the exact computation
+# contradicts; kept in the registry so the defect stays visible
+KNOWN_DEFECTS = frozenset(fn.id for fn in REGISTRY if fn.known_defect)
 
 
 def run_checks(only: str | None = None) -> VerificationReport:
-    results = []
-    for fn in REGISTRY:
-        r = fn()
-        if only is None or r.id.startswith(only):
-            results.append(r)
-    return VerificationReport(tuple(results))
+    """Run the registered checks whose id starts with `only` (all if None).
+
+    Filtering uses the static ids, so unselected checks never run.
+    """
+    return VerificationReport(tuple(
+        fn() for fn in REGISTRY if only is None or fn.id.startswith(only)
+    ))

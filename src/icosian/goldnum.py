@@ -9,9 +9,8 @@ exposed as Fractions via the ``a`` and ``b`` properties.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-
-_SQRT5_FLOAT = 5 ** 0.5
 
 Ratish = int | Fraction
 
@@ -37,6 +36,10 @@ class Gold:
 
     @staticmethod
     def of(a: Ratish, b: Ratish = 0) -> "Gold":
+        for v in (a, b):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"Gold.of takes int or Fraction, not"
+                                f" {type(v).__name__}")
         a = Fraction(a)
         b = Fraction(b)
         den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
@@ -59,7 +62,12 @@ class Gold:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.na, self.nb, self.den))
+        # rational values hash as the int or Fraction they equal
+        if self.nb:
+            return hash((self.na, self.nb, self.den))
+        if self.den == 1:
+            return hash(self.na)
+        return _fraction_hash(self.na, self.den)
 
     def __bool__(self) -> bool:
         return bool(self.na or self.nb)
@@ -119,14 +127,6 @@ class Gold:
         """The field automorphism sqrt5 -> -sqrt5."""
         return Gold(self.na, -self.nb, self.den)
 
-    def to_float(self) -> float:
-        """Approximate double-precision value (display only)."""
-        return (self.na + self.nb * _SQRT5_FLOAT) / self.den
-
-    @property
-    def is_rational(self) -> bool:
-        return self.nb == 0
-
     @property
     def is_integer(self) -> bool:
         return self.nb == 0 and self.den == 1
@@ -154,9 +154,12 @@ class Gold:
             "b": [self.b.numerator, self.b.denominator],
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "Gold":
-        return Gold.of(Fraction(*d["a"]), Fraction(*d["b"]))
+
+@lru_cache(maxsize=1024)
+def _fraction_hash(num: int, den: int) -> int:
+    # a few distinct denominators recur across a whole run; building the
+    # Fraction costs ten times the cache lookup
+    return hash(Fraction(num, den))
 
 
 def _coerce(x):

@@ -39,13 +39,11 @@ class FiniteGroup(Generic[T]):
         mul: Callable[[T, T], T],
         generator_indices: list[int],
         words: list[tuple[int, ...]],
-        parent_indices: list[int] | None = None,
     ):
         self.elements = elements
         self.mul = mul
         self.generator_indices = generator_indices
         self.words = words
-        self.parent_indices = parent_indices  # set for materialized subgroups
         self._index = {x: i for i, x in enumerate(elements)}
         if len(self._index) != len(elements):
             raise ClosureError("duplicate elements in group construction")
@@ -89,10 +87,6 @@ class FiniteGroup(Generic[T]):
     def index(self, x: T) -> int:
         return self._index[x]
 
-    @property
-    def identity_index(self) -> int:
-        return 0
-
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
@@ -132,14 +126,6 @@ class FiniteGroup(Generic[T]):
         t = self.table
         return t[t[self.inverse[y]][x]][y]
 
-    def power_idx(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.power_idx(self.inverse[i], -n)
-        acc = 0
-        for _ in range(n):
-            acc = self.table[acc][i]
-        return acc
-
     def element_order(self, i: int) -> int:
         t = self.table
         n = 1
@@ -151,12 +137,6 @@ class FiniteGroup(Generic[T]):
 
     def order_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(self.element_order(i) for i in range(len(self))).items()))
-
-    def evaluate_word(self, word: Iterable[int]) -> int:
-        acc = 0
-        for j in word:
-            acc = self.table[acc][self.generator_indices[j]]
-        return acc
 
     # -- conjugacy ------------------------------------------------------
 
@@ -198,17 +178,6 @@ class FiniteGroup(Generic[T]):
                     seen.add(p)
                     queue.append(p)
         return frozenset(seen)
-
-    def subgroup(self, gen_indices: Sequence[int]) -> "FiniteGroup[T]":
-        """Materialize a subgroup as its own FiniteGroup, retaining the embedding."""
-        sub = FiniteGroup.closure(
-            [self.elements[i] for i in gen_indices],
-            self.mul,
-            self.elements[0],
-            cap=len(self) + 1,
-        )
-        sub.parent_indices = [self._index[x] for x in sub.elements]
-        return sub
 
     def is_subgroup_set(self, indices: frozenset[int]) -> bool:
         t = self.table

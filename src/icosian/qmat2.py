@@ -90,12 +90,6 @@ class QMat2:
             return QMat2(s * self.m11, s * self.m12, s * self.m21, s * self.m22)
         return QMat2(self.m11 * s, self.m12 * s, self.m21 * s, self.m22 * s)
 
-    def apply(self, x: Spinor2) -> Spinor2:
-        return Spinor2(
-            self.m11 * x.c1 + self.m12 * x.c2,
-            self.m21 * x.c1 + self.m22 * x.c2,
-        )
-
     def galois(self) -> "QMat2":
         return QMat2(self.m11.galois(), self.m12.galois(),
                      self.m21.galois(), self.m22.galois())

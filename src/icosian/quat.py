@@ -69,10 +69,6 @@ class Quat:
     def galois(self) -> "Quat":
         return Quat(self.w.galois(), self.x.galois(), self.y.galois(), self.z.galois())
 
-    @property
-    def is_pure(self) -> bool:
-        return not self.w
-
     def __str__(self) -> str:
         parts = []
         for coeff, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):

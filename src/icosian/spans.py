@@ -25,11 +25,6 @@ def flatten(m: QMat2) -> list[Gold]:
     return out
 
 
-def unflatten(coords: list[Gold]) -> QMat2:
-    qs = [Quat(*coords[i:i + 4]) for i in range(0, 16, 4)]
-    return QMat2(*qs)
-
-
 def span_dim(mats: list[QMat2]) -> int:
     ech = Echelon(16)
     for m in mats:

@@ -1,251 +1,29 @@
-"""Acceptance gate: one test per stated criterion, each printing a single
-pass/fail line (visible with pytest -s or on failure).
+"""Acceptance gate: one test per registered check, generated from the
+registry in icosian.checks, each printing a single pass/fail line (visible
+with pytest -s or on failure).
 
-Two sub-claims of the source material are contradicted by the exact
-computation and are marked as expected failures rather than silently
-skipped: the two-reflection product census (criterion 4, second part) and
-the order-4 orbit partition 3+6+6 (criterion 11, first part).
+Checks flagged known_defect in the registry are claims of the source
+material that the exact computation contradicts; they run as strict
+expected failures, so neither a silent fix nor a new defect goes unnoticed.
 """
 import pytest
 
-from icosian import census, coincidence, spans
-from icosian.chars import LABELS, char_table, format_decomposition, gauge_bookkeeping
-from icosian.goldnum import Gold
-from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, Spinor2, spinor_norm2
-from icosian.quat import Quat, THETA, ZERO as Q_ZERO, scalar_group, so3_image
-from icosian.reflgroup import (
-    build_o1, diagonal_subgroup, gamma_group, gamma_reflections, generators,
-    reflection_group, reflection_matrices, reflection_of, roots,
-    two_reflection_census,
-)
+from icosian.checks import KNOWN_DEFECTS, REGISTRY
 
 
-def report(criterion: str, ok: bool, detail: str = "") -> bool:
-    print(f"{criterion}: {'PASS' if ok else 'FAIL'}"
-          + (f" ({detail})" if detail else ""))
-    return ok
+def test_known_defects_are_the_documented_two():
+    assert KNOWN_DEFECTS == {"roots.tworefl", "orbits.order4"}
 
 
-def test_criterion_01_group_order():
-    g = build_o1()
-    d = diagonal_subgroup()
-    d_set = frozenset(g.index(m) for m in d.elements)
-    ok = len(g) == 120 and len(d) == 12 and g.is_maximal(d_set)
-    assert report("criterion 01 group.order", ok,
-                  f"|G|={len(g)}, |D|={len(d)}")
-
-
-def test_criterion_02_group_relations():
-    f, g, h = generators()
-    ok = (f * f == MINUS_IDENTITY and h * h == MINUS_IDENTITY
-          and (g * h) * (g * h) == MINUS_IDENTITY
-          and g * g * g == IDENTITY
-          and (f * g) * (f * g) * (f * g) == IDENTITY
-          and (f * h) * (f * h) * (f * h) == IDENTITY)
-    assert report("criterion 02 group.relations", ok)
-
-
-def test_criterion_03_roots():
-    rs = roots()
-    distinct = len({r.spinor for r in rs})
-    norms_ok = all(spinor_norm2(r.spinor) == Quat.of(3) for r in rs)
-    ok = distinct == 120 and norms_ok
-    assert report("criterion 03 roots.count/norm", ok,
-                  f"{distinct} distinct, norms ok: {norms_ok}")
-
-
-def test_criterion_04_reflections():
-    g = build_o1()
-    refl = reflection_matrices()
-    idxs = [g.index(m) for m in refl]
-    pairs = len({frozenset({i, g.inverse[i]}) for i in idxs})
-    ok = (len(refl) == 20
-          and all(g.element_order(i) == 3 for i in idxs)
-          and pairs == 10
-          and reflection_of(Spinor2(THETA, Q_ZERO)) == generators()[1]
-          and reflection_group().element_set() == g.element_set())
-    assert report("criterion 04 roots.reflections", ok,
-                  f"{len(refl)} reflections, {pairs} inverse pairs")
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="stated claim: all 100 non-reflections are two-reflection"
-           " products; exact computation gives 75 (the 24 order-5 elements"
-           " and -identity are only such products up to sign)",
-)
-def test_criterion_04b_two_reflection_products():
-    count = two_reflection_census(build_o1())
-    assert report("criterion 04b roots.tworefl", count == 100,
-                  f"counted {count}")
-
-
-def test_criterion_05_gamma_group():
-    found, listed = gamma_reflections()
-    ok = (len(gamma_group()) == 32 and set(found) == set(listed)
-          and len(found) == 10
-          and all(m * m == IDENTITY for m in found))
-    assert report("criterion 05 gamma.group", ok,
-                  f"order {len(gamma_group())}, {len(found)} involutions")
-
-
-def test_criterion_06_char_table():
-    ct = char_table()
-    dims = sorted(chi.dim.na for chi in ct.irreducibles)
-    one, zero = Gold(1), Gold(0)
-    ortho = all(
-        ct.inner(a, b) == (one if i == j else zero)
-        for i, a in enumerate(ct.irreducibles)
-        for j, b in enumerate(ct.irreducibles)
+@pytest.mark.parametrize("check", [
+    pytest.param(
+        fn, id=fn.id,
+        marks=pytest.mark.xfail(strict=True, reason=fn.claim)
+        if fn.known_defect else (),
     )
-    ok = (dims == [1, 2, 2, 3, 3, 4, 4, 5, 6]
-          and sum(d * d for d in dims) == 120
-          and ortho
-          and sorted(ct.class_sizes) == [1, 1, 12, 12, 12, 12, 20, 20, 30])
-    assert report("criterion 06 chars.table", ok)
-
-
-def test_criterion_07_fs_indicators():
-    ct = char_table()
-    got = {chi.label: ct.fs_indicator(chi) for chi in ct.irreducibles}
-    want = {"1": 1, "2a": -1, "2b": -1, "3a": 1, "3b": 1,
-            "4a": 1, "4b": -1, "5": 1, "6": -1}
-    assert report("criterion 07 chars.fs", got == want, str(got))
-
-
-def test_criterion_08_tensor_identities():
-    ct = char_table()
-    cases = [
-        (ct.by_label["2a"] * ct.by_label["2a"], "1+3a"),
-        (ct.by_label["2a"] * ct.by_label["2b"], "4a"),
-        (ct.by_label["2b"] * ct.by_label["2b"], "1+3b"),
-        (ct.by_label["2b"] * ct.by_label["3a"], "6"),
-        (ct.by_label["2b"] * ct.by_label["4b"], "3b+5"),
-        (ct.by_label["2b"] * ct.by_label["3b"], "2b+4b"),
-        (ct.by_label["4a"] * ct.by_label["4a"], "1+3a+3b+4a+5"),
-        (ct.by_label["4b"] * ct.by_label["4b"], "1+3a+3b+4a+5"),
-        (ct.by_label["2a"] * ct.by_label["4b"], "3a+5"),
-    ]
-    s = ct.by_label["2a"] + ct.by_label["2b"]
-    cases += [
-        (s * s, "1+1+3a+3b+4a+4a"),
-        (s * ct.by_label["4b"], "3a+3b+5+5"),
-        (ct.by_label["2a"] * s, "1+3a+4a"),
-    ]
-    failures = [
-        want for chi, want in cases
-        if format_decomposition(ct.decompose(chi)) != want
-    ]
-    assert report("criterion 08 chars.tensor", not failures,
-                  f"{len(cases)} identities")
-
-
-def test_criterion_09_hyperspin():
-    ct = char_table()
-    rows = [format_decomposition(m) for _, m in ct.hyperspin_table(7)]
-    covered = set()
-    for _, m in ct.hyperspin_table(7):
-        covered |= set(m)
-    ok = (rows == ["1", "2a", "3a", "4b", "5", "6", "3b+4a", "2b+6"]
-          and covered == set(LABELS))
-    assert report("criterion 09 hyperspin.table", ok, " | ".join(rows))
-
-
-def test_criterion_10_algebra_dims():
-    _, g, h = generators()
-    dims = (
-        spans.algebra_closure_dim(list(reflection_matrices())),
-        spans.algebra_closure_dim([IDENTITY, g, g * g]),
-        spans.algebra_closure_dim([IDENTITY, g, g * g, h]),
-    )
-    reports = (spans.neutrino_algebra_report() + spans.su2_u1_split_report())
-    ok = dims == (16, 3, 6) and all(c["pass"] for c in reports)
-    assert report("criterion 10 algebra.dims", ok, f"dims {dims}")
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="stated claim: the 15 order-4 sign-pairs split into orbits"
-           " 3+6+6; exact computation gives 3+3+3+6 (the listed third"
-           " family is a union of two 3-orbits)",
-)
-def test_criterion_11_order4_orbits():
-    claims = census.order4_claims()
-    ok = all(c["pass"] for c in claims)
-    assert report("criterion 11 orbits.order4", ok,
-                  str(census.order4_census().orbit_sizes))
-
-
-def test_criterion_11b_order4_structure():
-    s = census.order4_structure()
-    ok = (s["q8_total"] == 5 and s["q8_normalized_by_g"] == 2
-          and s["photon_orbit_fills_q8_pair"]
-          and s["product_matching"] is not None)
-    assert report("criterion 11b orbits.q8", ok, str(s["product_matching"]))
-
-
-def test_criterion_12_order3_orbits():
-    c = census.order3_census()  # raises on any membership failure
-    ok = c.orbit_sizes == (1, 3, 6)
-    assert report("criterion 12 orbits.order3", ok, str(c.orbit_sizes))
-
-
-def test_criterion_13_order5_groups():
-    c = census.order5_census()
-    ok = (c["cyclic_groups"] == 6 and c["sign_classes_total"] == 24
-          and c["covered"])
-    assert report("criterion 13 orbits.order5", ok)
-
-
-def test_criterion_14_root_census():
-    b = census.root_bookkeeping()
-    ok = (b["classes"] == 10 and b["class_size"] == 12
-          and b["states_by_label"] == {"neutrino-like": 12,
-                                       "electron-like": 36,
-                                       "quark-like": 72}
-          and b["scalar_group_order"] == 12
-          and b["so3_image_order"] == 6 and b["so3_image_nonabelian"])
-    assert report("criterion 14 census.roots", ok)
-
-
-def test_criterion_15_gauge_bookkeeping():
-    a, b = gauge_bookkeeping()
-    ok = all(v.total == 37 and v.kept == 15 and v.lost == 22
-             and v.lost_split == (2, 7, 13) for v in (a, b))
-    assert report("criterion 15 gauge.bookkeeping", ok)
-
-
-def test_criterion_16_coincidences():
-    v_np = coincidence.np_coincidence()
-    v_ep = coincidence.ep_coincidence()
-    t = coincidence.tilt_inversion()
-    d, m, s = t.dms
-    ok = (abs(v_np - 1.001369) < 5e-7
-          and abs(v_ep - 0.000544558) < 5e-10
-          and abs(t.sine - 0.3978318) < 5e-8
-          and abs(t.degrees - 23.442704) < 5e-6
-          and (d, m) == (23, 26) and abs(s - 33.7) <= 0.1)
-    assert report("criterion 16 coincidence", ok,
-                  f"{v_np:.6f}, {v_ep:.9f}, {t.degrees:.6f}")
-
-
-def test_criterion_17_property_samples():
-    # representative draws from the property suites (the full hypothesis
-    # versions live in the per-module test files)
-    tau = Gold(1, 1, 2)
-    field_ok = (tau * tau == tau + Gold(1)
-                and (tau * tau.galois()) == Gold(-1))
-    q = Quat.of(1, 2, 3, 4)
-    p = Quat.of(-2, 0, 5, 1)
-    norm_ok = (p * q).norm2() == p.norm2() * q.norm2()
-    ct = char_table()
-    col_ok = all(
-        sum((chi.values[0] * chi.values[c] for chi in ct.irreducibles),
-            Gold(0)) == (Gold(120) if c == 0 else Gold(0))
-        for c in range(len(ct.classes))
-    )
-    galois_ok = ct.by_label["2a"].galois().values == ct.by_label["2b"].values
-    orbits_ok = census.order3_census().orbit_sizes == (1, 3, 6)
-    scalars_ok = len(scalar_group()) == 12 and so3_image() == (6, True)
-    ok = all((field_ok, norm_ok, col_ok, galois_ok, orbits_ok, scalars_ok))
-    assert report("criterion 17 property samples", ok)
+    for fn in REGISTRY
+])
+def test_claim(check):
+    r = check()
+    print(f"{r.id}: {'PASS' if r.ok else 'FAIL'} (actual {r.actual})")
+    assert r.ok, f"{r.id}: expected {r.expected}, actual {r.actual}"

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from icosian.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -116,3 +122,21 @@ def test_coincidence(capsys):
     assert "1.001369" in out
     assert "0.000544558" in out
     assert "23° 26′ 33.7″" in out
+
+
+def test_verify_only_coincidence_builds_no_group():
+    # a filtered verify runs only the selected checks, so the group's
+    # cached layers stay empty
+    script = (
+        "from icosian.cli import main\n"
+        "from icosian.reflgroup import build_o1\n"
+        "code = main(['verify', '--only', 'coincidence'])\n"
+        "print(code, build_o1.cache_info().currsize)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 0"
+    assert "coincidence.tilt" in out

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from icosian.goldnum import Gold, HALF, ONE, SIGMA, SQRT5, TAU, ZERO
 from conftest import golds, nonzero_golds
@@ -19,11 +20,19 @@ def test_of_fractions():
     assert Gold.of(Fraction(2, 3)).a == Fraction(2, 3)
 
 
+def test_of_rejects_floats():
+    with pytest.raises(TypeError):
+        Gold.of(0.1)
+    with pytest.raises(TypeError):
+        Gold.of(1, 0.5)
+
+
 def test_tau_sigma():
     assert TAU + SIGMA == ONE
     assert TAU * SIGMA == Gold(-1)
     assert TAU - SIGMA == SQRT5
     assert TAU * TAU == TAU + ONE
+    assert TAU * TAU.galois() == Gold(-1)
 
 
 def test_sqrt5_squares_to_five():
@@ -55,7 +64,8 @@ def test_str_rendering():
 
 def test_json_roundtrip():
     x = Gold(3, -2, 7)
-    assert Gold.from_json(x.to_json()) == x
+    d = x.to_json()
+    assert Gold.of(Fraction(*d["a"]), Fraction(*d["b"])) == x
 
 
 def test_mixed_int_arithmetic():
@@ -93,8 +103,18 @@ def test_galois_is_homomorphism(x, y):
     assert x.galois().galois() == x
 
 
-@given(golds)
-def test_float_embedding_sign(x):
-    # the principal embedding sends positive rationals to positive floats
-    if x.is_rational and x:
-        assert (x.to_float() > 0) == (x.na * x.den > 0)
+rationals = st.fractions(max_denominator=12)
+numbers = st.one_of(
+    golds,
+    st.integers(min_value=-60, max_value=60),
+    rationals,
+    rationals.map(Gold.of),
+)
+
+
+@given(numbers, numbers)
+@example(Gold(3), 3)
+@example(Gold(1, 0, 2), Fraction(1, 2))
+def test_equal_values_hash_equal(x, y):
+    if x == y:
+        assert hash(x) == hash(y)

@@ -1,4 +1,5 @@
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 
 from icosian.goldnum import Gold
 from icosian.quat import (
@@ -28,10 +29,15 @@ def test_phi_relations():
     assert wp * wp == -ONE
 
 
+def test_of_rejects_floats():
+    with pytest.raises(TypeError):
+        Quat.of(0.5)
+
+
 def test_theta():
     assert THETA == I + J + K
     assert THETA * THETA == Quat.of(-3)
-    assert THETA.is_pure
+    assert not THETA.w
 
 
 def test_scalar_group_order_12():
@@ -49,6 +55,7 @@ def test_omega_phi_do_not_commute():
 
 
 @given(quats, quats)
+@example(Quat.of(-2, 0, 5, 1), Quat.of(1, 2, 3, 4))
 def test_norm_multiplicative(p, q):
     assert (p * q).norm2() == p.norm2() * q.norm2()
 
@@ -73,5 +80,5 @@ def test_galois_homomorphism(p, q):
 @given(quats)
 def test_conj_fixes_real_part(q):
     r = q + q.conj()
-    assert r.is_pure is False or r == ZERO
+    assert bool(r.w) or r == ZERO
     assert r.w == q.w * Gold(2)

@@ -1,5 +1,6 @@
+from icosian.groupkit import FiniteGroup
 from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, Spinor2, spinor_norm2
-from icosian.quat import Quat, THETA, ZERO as Q_ZERO
+from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO
 from icosian.reflgroup import (
     build_o1,
     diagonal_subgroup,
@@ -109,6 +110,18 @@ def test_two_reflection_census_is_75_not_100():
     # the 24 order-5 elements and -identity are not products of two
     # reflections; only their negatives are
     assert two_reflection_census(build_o1()) == 75
+
+
+def test_quaternion_model_two_reflection_census_is_75():
+    # an independent model of the group inside the unit quaternions, with
+    # its 20 order-3 elements as the reflections, gives the same count
+    group = FiniteGroup.closure([I, OMEGA, PHI], lambda p, q: p * q, Q_ONE)
+    assert len(group) == 120
+    refl = {x for x in group.elements if x != Q_ONE and x * x * x == Q_ONE}
+    assert len(refl) == 20
+    products = {a * b for a in refl for b in refl}
+    assert sum(1 for x in group.elements
+               if x not in refl and x in products) == 75
 
 
 def test_word_evaluation():
