@@ -51,24 +51,20 @@ class CharVector:
 
 
 def build_quat_lift(group: FiniteGroup[QMat2]) -> tuple[Quat, ...]:
-    """Unit-quaternion image of every element, via its generator word.
+    """Unit-quaternion image of every element, along its BFS word.
 
-    Multiplicativity is verified exhaustively over all |G|^2 pairs; failure
-    would mean the assignment is not a homomorphism.
+    The lift is checked on every Cayley-graph edge,
+    lift[edges[i][s]] == lift[i] * images[s], which is |G|*|S| products; by
+    induction on word length this makes it multiplicative on all |G|^2
+    pairs.  Failure would mean the assignment is not a homomorphism.
     """
     images = (I, OMEGA, PHI)
-    lift = []
-    for w in group.words:
-        q = Q_ONE
-        for j in w:
-            q = q * images[j]
-        lift.append(q)
-    table = group.table
-    for i in range(len(group)):
-        li = lift[i]
-        row = table[i]
-        for j in range(len(group)):
-            if lift[row[j]] != li * lift[j]:
+    lift = [Q_ONE]
+    for k in range(1, len(group)):
+        lift.append(lift[group.parent[k]] * images[group.letter[k]])
+    for i, row in enumerate(group.edges):
+        for s, target in enumerate(row):
+            if lift[target] != lift[i] * images[s]:
                 raise ValueError("quaternion lift is not multiplicative")
     return tuple(lift)
 

@@ -181,29 +181,31 @@ def cmd_roots(args) -> int:
 
 def cmd_orbits(args) -> int:
     c4 = census.order4_census()
+    claims = census.order4_claims()
+    s = census.order4_structure()
+    c3 = census.order3_census()
+    c5 = census.order5_census()
+    totals = census.order_totals()
     data = {
         "order4": c4.to_json(),
-        "order4_claims": census.order4_claims(),
-        "order4_structure": census.order4_structure(),
-        "order3": census.order3_census().to_json(),
-        "order5": census.order5_census(),
-        "order_totals": census.order_totals(),
+        "order4_claims": claims,
+        "order4_structure": s,
+        "order3": c3.to_json(),
+        "order5": c5,
+        "order_totals": totals,
     }
-    lines = [f"element orders: {census.order_totals()}", ""]
+    lines = [f"element orders: {totals}", ""]
     lines.append(f"order 4: {len(c4.items)} sign-pairs, orbit sizes"
                  f" {c4.orbit_sizes}")
-    for claim in census.order4_claims():
+    for claim in claims:
         lines.append(f"  {'pass' if claim['pass'] else 'fail'}:"
                      f" {claim['name']} -> {claim['actual']}")
-    s = census.order4_structure()
     lines.append(f"  quaternion subgroups: {s['q8_total']} total,"
                  f" {s['q8_normalized_by_g']} normalized by g")
     lines.append(f"  product matching of the remaining pairs:"
                  f" {s['product_matching']}")
-    c3 = census.order3_census()
     lines.append(f"order 3: {len(c3.items)} inverse-pairs, orbit sizes"
                  f" {c3.orbit_sizes}")
-    c5 = census.order5_census()
     lines.append(f"order 5/10: {c5['sign_classes_total']} sign-classes in"
                  f" {c5['cyclic_groups']} cyclic groups"
                  f" ({', '.join(c5['generators'])})")

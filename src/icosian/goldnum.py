@@ -91,7 +91,10 @@ class Gold:
                     self.den * other.den)
 
     def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self) -> "Gold":
         return Gold(-self.na, -self.nb, self.den)
@@ -121,7 +124,10 @@ class Gold:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def galois(self) -> "Gold":
         """The field automorphism sqrt5 -> -sqrt5."""

@@ -1,9 +1,10 @@
 """Generic finite-group engine over any hashable element type.
 
 Works with any associative multiplication with an identity; groups are built
-by breadth-first product closure with a deterministic element ordering, and
-all further queries (orders, conjugacy, subgroups, orbits) run on integer
-indices against a cached Cayley table.
+by breadth-first product closure with a deterministic element ordering.  The
+closure records the right-Cayley graph, and the multiplication is called only
+on its generator edges; the Cayley table and every further query (orders,
+conjugacy, subgroups, orbits) is integer index work on that graph.
 """
 from __future__ import annotations
 
@@ -26,11 +27,13 @@ class ConjugacyPartition:
 
 
 class FiniteGroup(Generic[T]):
-    """A finite group as an indexed element list plus a multiplication map.
+    """A finite group as an indexed element list plus its right-Cayley graph.
 
-    Element 0 is the identity.  Each element carries one generator word from
-    the closure BFS, usable to transport the group through any homomorphism
-    given images of the generators.
+    Element 0 is the identity.  ``edges[i][s]`` is the index of
+    ``elements[i] * generators[s]``.  Every other element k was first reached
+    from ``parent[k]`` (an earlier index) by the generator ``letter[k]``, and
+    carries that BFS word in ``words[k]``, usable to transport the group
+    through any homomorphism given images of the generators.
     """
 
     def __init__(
@@ -39,11 +42,17 @@ class FiniteGroup(Generic[T]):
         mul: Callable[[T, T], T],
         generator_indices: list[int],
         words: list[tuple[int, ...]],
+        edges: list[tuple[int, ...]],
+        parent: list[int],
+        letter: list[int],
     ):
         self.elements = elements
         self.mul = mul
         self.generator_indices = generator_indices
         self.words = words
+        self.edges = edges
+        self.parent = parent
+        self.letter = letter
         self._index = {x: i for i, x in enumerate(elements)}
         if len(self._index) != len(elements):
             raise ClosureError("duplicate elements in group construction")
@@ -56,14 +65,20 @@ class FiniteGroup(Generic[T]):
         identity: T,
         cap: int = 10_000,
     ) -> "FiniteGroup[T]":
+        """Breadth-first closure under right multiplication by the generators.
+
+        ``mul`` runs once per (element, generator) pair, |G|*|S| times in all.
+        """
         if not generators:
             raise ClosureError("empty generator list")
         elements: list[T] = [identity]
         words: list[tuple[int, ...]] = [()]
+        parent, letter = [-1], [-1]
+        edges: list[tuple[int, ...]] = []
         index = {identity: 0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
+        i = 0
+        while i < len(elements):  # BFS: elements are expanded in index order
+            row = []
             for j, gen in enumerate(generators):
                 p = mul(elements[i], gen)
                 if p not in index:
@@ -72,9 +87,13 @@ class FiniteGroup(Generic[T]):
                     index[p] = len(elements)
                     elements.append(p)
                     words.append(words[i] + (j,))
-                    queue.append(index[p])
+                    parent.append(i)
+                    letter.append(j)
+                row.append(index[p])
+            edges.append(tuple(row))
+            i += 1
         gen_indices = [index[g] for g in generators]
-        return cls(elements, mul, gen_indices, words)
+        return cls(elements, mul, gen_indices, words, edges, parent, letter)
 
     # -- basic queries -------------------------------------------------
 
@@ -92,17 +111,22 @@ class FiniteGroup(Generic[T]):
 
     @cached_property
     def table(self) -> list[list[int]]:
-        """Cayley table on indices; verifies multiplicative closure."""
-        n = len(self.elements)
-        idx = self._index
+        """Cayley table on indices, composed from the Cayley graph alone.
+
+        Sound without a product per pair: a finite set of invertible elements
+        closed under right multiplication by the generators is the group they
+        generate (each inverse is a positive power), and since
+        ``elements[k] = elements[parent[k]] * generators[letter[k]]``,
+        associativity of the product makes
+        ``row[k] = edges[row[parent[k]]][letter[k]]`` the index of
+        ``elements[i] * elements[k]`` for row i.
+        """
+        edges, parent, letter = self.edges, self.parent, self.letter
         rows = []
-        for x in self.elements:
-            row = []
-            for y in self.elements:
-                p = self.mul(x, y)
-                if p not in idx:
-                    raise ClosureError("element set is not closed under product")
-                row.append(idx[p])
+        for i in range(len(self.elements)):
+            row = [i]
+            for k in range(1, len(self.elements)):
+                row.append(edges[row[parent[k]]][letter[k]])
             rows.append(row)
         return rows
 

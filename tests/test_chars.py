@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from icosian.chars import (
@@ -27,10 +29,20 @@ def test_class_shapes():
 
 
 def test_lift_is_multiplicative():
-    # build_quat_lift raises if any of the 120^2 products disagrees
+    # build_quat_lift raises if the lift disagrees on any of the 120 * 3
+    # generator edges, which by induction covers all 120^2 products
     lift = build_quat_lift(build_o1())
     assert len(lift) == 120
     assert all(q.norm2() == Gold(1) for q in lift)
+
+
+def test_lift_check_catches_a_corrupted_edge():
+    g = copy.copy(build_o1())
+    edges = [list(row) for row in g.edges]
+    edges[7][2] = edges[7][1]
+    g.edges = [tuple(row) for row in edges]
+    with pytest.raises(ValueError, match="not multiplicative"):
+        build_quat_lift(g)
 
 
 def test_row_orthonormality():

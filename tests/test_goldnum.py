@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,17 @@ def test_mixed_int_arithmetic():
     assert 1 + SIGMA == Gold(3, -1, 2)
     assert 1 - TAU == SIGMA
     assert 2 / (ONE + ONE) == ONE
+    assert 1 / TAU == TAU - ONE
+    assert Fraction(1, 2) - TAU == -HALF * SQRT5
+
+
+@pytest.mark.parametrize("op, symbol", [
+    (operator.sub, "-"), (operator.truediv, "/"),
+    (operator.add, r"\+"), (operator.mul, r"\*"),
+])
+def test_reflected_float_operands_are_unsupported(op, symbol):
+    with pytest.raises(TypeError, match=f"for {symbol}: 'float' and 'Gold'"):
+        op(0.5, ONE)
 
 
 @given(golds, golds, golds)

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from icosian.groupkit import ClosureError, FiniteGroup
+from icosian.qmat2 import IDENTITY
+from icosian.reflgroup import build_o1, gamma_group, generators
 
 
 def perm_mul(p, q):
@@ -112,3 +116,44 @@ def test_conjugation_orbits_rejects_unstable_items():
     # conjugation moves this item to transpositions outside the item list
     with pytest.raises(ClosureError):
         g.conjugation_orbits(range(len(g)), [frozenset({one_transposition})])
+
+
+# the table is composed from generator edges; the exhaustive product of
+# every pair is the reference these compare it with
+
+def assert_rows_match_products(g, rows):
+    for i in rows:
+        for j in range(len(g)):
+            assert g.table[i][j] == g.index(g.mul(g.elements[i], g.elements[j]))
+
+
+def test_table_matches_exhaustive_products_s3():
+    g = s3()
+    assert_rows_match_products(g, range(len(g)))
+
+
+def test_table_matches_exhaustive_products_gamma():
+    g = gamma_group()
+    assert_rows_match_products(g, range(len(g)))
+
+
+def test_table_matches_products_on_generator_edges_and_sample_rows():
+    g = build_o1()
+    for i in range(len(g)):
+        for s, gen in enumerate(g.generator_indices):
+            want = g.index(g.mul(g.elements[i], g.elements[gen]))
+            assert g.table[i][gen] == g.edges[i][s] == want
+    assert_rows_match_products(g, random.Random(3).sample(range(len(g)), 6))
+
+
+def test_table_inverse_conjugacy_use_only_edge_products():
+    calls = 0
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return a * b
+
+    g = FiniteGroup.closure(list(generators()), counting_mul, IDENTITY)
+    g.table, g.inverse, g.conjugacy
+    assert calls == len(g) * len(generators()) == 360

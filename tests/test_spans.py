@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -70,6 +72,27 @@ def test_closure_monotone_and_idempotent():
     assert algebra_closure_dim(small) <= algebra_closure_dim(bigger)
     _, basis = algebra_closure(bigger)
     assert algebra_closure_dim(basis) == len(basis)
+
+
+def test_closure_forms_products_in_both_orders():
+    # e12 * e21 = e11 and e21 * e12 = e22: only both orders give all four
+    one, zero = Quat.of(1), Quat.of(0)
+    e12, e21 = QMat2(zero, one, zero, zero), QMat2(zero, zero, one, zero)
+    assert algebra_closure_dim([e12, e21]) == algebra_closure_dim([e21, e12]) == 4
+
+
+def test_closure_equals_span_of_generated_subgroup():
+    # inside a finite group the generated algebra is the span of the
+    # generated subgroup, a second route to the same dimension
+    g = build_o1()
+    rng = random.Random(5)
+    dims = []
+    for _ in range(12):
+        idx = [rng.randrange(len(g)) for _ in range(rng.randint(2, 3))]
+        sub = g.subgroup_indices(idx)
+        dims.append(algebra_closure_dim([g.elements[i] for i in idx]))
+        assert dims[-1] == span_dim([g.elements[i] for i in sub])
+    assert 16 in dims
 
 
 def test_galois_stability():
