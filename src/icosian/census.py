@@ -13,7 +13,7 @@ from itertools import combinations
 from .groupkit import FiniteGroup
 from .qmat2 import MINUS_IDENTITY, QMat2
 from .quat import ZERO as Q_ZERO, scalar_group, so3_image
-from .reflgroup import Root, build_o1, diagonal_subgroup, roots, word
+from .reflgroup import Root, build_o1, diagonal_subgroup, roots, word_index
 
 ROOT_LABELS = ("neutrino-like",) + ("electron-like",) * 3 + ("quark-like",) * 6
 
@@ -84,22 +84,11 @@ def root_bookkeeping() -> dict:
 
 def _group_data():
     G = build_o1()
-    H = diagonal_subgroup()
-    h_idx = frozenset(G.index(m) for m in H.elements)
-    minus = G.index(MINUS_IDENTITY)
-    return G, h_idx, minus
-
-
-def _word_index(G: FiniteGroup[QMat2], letters: str) -> int:
-    return G.index(word(letters))
-
-
-def _conj_index(G: FiniteGroup[QMat2], base: str, by: str) -> int:
-    return G.conj_idx(_word_index(G, base), _word_index(G, by))
+    return G, diagonal_subgroup(), G.index(MINUS_IDENTITY)
 
 
 def _sign_pair(G, minus: int, i: int) -> frozenset[int]:
-    return frozenset({i, G.mul_idx(i, minus)})
+    return frozenset({i, G.table[i][minus]})
 
 
 def _orbit_of(census_orbits, items, item: frozenset[int]) -> int:
@@ -122,8 +111,8 @@ ORDER4_LISTED = {
 def _listed_index(G: FiniteGroup[QMat2], token: str) -> int:
     if "^" in token:
         base, by = token.split("^")
-        return _conj_index(G, base, by)
-    return _word_index(G, token)
+        return G.conj_idx(word_index(base), word_index(by))
+    return word_index(token)
 
 
 def order4_census() -> OrbitCensus:
@@ -193,7 +182,7 @@ def q8_subgroups() -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ..
     for s in found:
         if sum(1 for i in s if G.element_order(i) == 2) != 1:
             raise ValueError("order-8 subgroup with more than one involution")
-    g_idx = _word_index(G, "g")
+    g_idx = word_index("g")
     normalized = tuple(
         s for s in found
         if frozenset(G.conj_idx(i, g_idx) for i in s) == s
@@ -244,7 +233,7 @@ def _product_matching(G, h_idx, pairs: list[frozenset[int]]):
         # products of the four representative choices differ only by sign,
         # and the subgroup contains -identity, so one test per order suffices
         x, y = min(p), min(q)
-        return G.mul_idx(x, y) in h_idx or G.mul_idx(y, x) in h_idx
+        return G.table[x][y] in h_idx or G.table[y][x] in h_idx
 
     def solve(remaining: list[int]) -> list[tuple[int, int]] | None:
         if not remaining:
@@ -292,7 +281,7 @@ def order3_census() -> OrbitCensus:
         if len(ks) != 1 or len(orbits[ks.pop()]) != len(tokens):
             raise ValueError(f"listed family {name} is not one full orbit")
     # the listed inverses pair up: (fh)^-1 = hf since f^2 = h^2 = -1
-    if G.inverse[_word_index(G, "fh")] != _word_index(G, "hf"):
+    if G.inverse[word_index("fh")] != word_index("hf"):
         raise ValueError("(fh)^-1 != hf")
     return census
 
@@ -315,7 +304,7 @@ def order5_census() -> dict:
     all_classes = {_sign_pair(G, minus, i) for i in elems}
     groups = []
     for w in ORDER5_GENERATORS:
-        i = _word_index(G, w)
+        i = word_index(w)
         sub = G.subgroup_indices([i, minus])
         classes = frozenset(
             _sign_pair(G, minus, j) for j in sub if j not in (0, minus)

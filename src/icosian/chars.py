@@ -15,7 +15,7 @@ from .goldnum import Gold, ONE as G_ONE, ZERO as G_ZERO
 from .groupkit import FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
-from .reflgroup import build_o1
+from .reflgroup import build_o1, word_string
 
 LABELS = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "5", "6")
 
@@ -182,17 +182,12 @@ class CharTable:
                 {
                     "size": s,
                     "element_order": o,
-                    "representative_word": word_string(self.group, r),
+                    "representative_word": word_string(r),
                 }
                 for s, o, r in zip(self.class_sizes, self.class_orders, self.class_reps)
             ],
             "irreducibles": [chi.to_json() for chi in self.irreducibles],
         }
-
-
-def word_string(group: FiniteGroup, i: int) -> str:
-    letters = "fgh"
-    return "".join(letters[j] for j in group.words[i]) or "e"
 
 
 @cache

@@ -6,8 +6,9 @@ import json
 import sys
 
 from . import census, coincidence, spans
-from .chars import char_table, format_decomposition, gauge_bookkeeping, word_string
+from .chars import char_table, format_decomposition, gauge_bookkeeping
 from .checks import run_checks
+from .reflgroup import word_string
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("branch", help="print the spin branching table")
-    p.add_argument("--max-two-j", type=int, default=7,
+    p.add_argument("--max-two-j", type=non_negative_int, default=7,
                    help="largest doubled spin to branch (default 7)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_branch)
@@ -69,6 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_coincidence)
     return parser
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -102,7 +110,7 @@ def cmd_table(args) -> int:
     lines.append("  ".join(f"{h:>10}" for h in header))
     header = ["class size"] + [str(s) for s in ct.class_sizes]
     lines.append("  ".join(f"{h:>10}" for h in header))
-    header = ["rep word"] + [word_string(ct.group, r) for r in ct.class_reps]
+    header = ["rep word"] + [word_string(r) for r in ct.class_reps]
     lines.append("  ".join(f"{h:>10}" for h in header))
     lines.append("")
     for chi in ct.irreducibles:

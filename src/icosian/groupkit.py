@@ -30,26 +30,21 @@ class FiniteGroup(Generic[T]):
     """A finite group as an indexed element list plus its right-Cayley graph.
 
     Element 0 is the identity.  ``edges[i][s]`` is the index of
-    ``elements[i] * generators[s]``.  Every other element k was first reached
-    from ``parent[k]`` (an earlier index) by the generator ``letter[k]``, and
-    carries that BFS word in ``words[k]``, usable to transport the group
-    through any homomorphism given images of the generators.
+    ``elements[i] * generators[s]``, so ``edges[0]`` holds the generators.
+    Every other element k was first reached from ``parent[k]`` (an earlier
+    index) by the generator ``letter[k]``; ``word(k)`` walks that BFS word,
+    usable to transport the group through any homomorphism given images of
+    the generators.
     """
 
     def __init__(
         self,
         elements: list[T],
-        mul: Callable[[T, T], T],
-        generator_indices: list[int],
-        words: list[tuple[int, ...]],
         edges: list[tuple[int, ...]],
         parent: list[int],
         letter: list[int],
     ):
         self.elements = elements
-        self.mul = mul
-        self.generator_indices = generator_indices
-        self.words = words
         self.edges = edges
         self.parent = parent
         self.letter = letter
@@ -72,7 +67,6 @@ class FiniteGroup(Generic[T]):
         if not generators:
             raise ClosureError("empty generator list")
         elements: list[T] = [identity]
-        words: list[tuple[int, ...]] = [()]
         parent, letter = [-1], [-1]
         edges: list[tuple[int, ...]] = []
         index = {identity: 0}
@@ -86,28 +80,35 @@ class FiniteGroup(Generic[T]):
                         raise ClosureError(f"closure exceeded cap {cap}")
                     index[p] = len(elements)
                     elements.append(p)
-                    words.append(words[i] + (j,))
                     parent.append(i)
                     letter.append(j)
                 row.append(index[p])
             edges.append(tuple(row))
             i += 1
-        gen_indices = [index[g] for g in generators]
-        return cls(elements, mul, gen_indices, words, edges, parent, letter)
+        return cls(elements, edges, parent, letter)
 
     # -- basic queries -------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x) -> bool:
-        return x in self._index
-
     def index(self, x: T) -> int:
         return self._index[x]
 
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
+    def word(self, k: int) -> tuple[int, ...]:
+        """Generator positions of the BFS word of element k (() for 0)."""
+        out = []
+        while k:
+            out.append(self.letter[k])
+            k = self.parent[k]
+        return tuple(reversed(out))
+
+    def word_index(self, positions: Iterable[int]) -> int:
+        """Index of the product of the generators at these positions."""
+        i = 0
+        for s in positions:
+            i = self.edges[i][s]
+        return i
 
     @cached_property
     def table(self) -> list[list[int]]:
@@ -142,22 +143,22 @@ class FiniteGroup(Generic[T]):
             raise ClosureError("element without inverse; not a group")
         return tuple(inv)
 
-    def mul_idx(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def conj_idx(self, x: int, y: int) -> int:
         """x^y := y^-1 x y."""
         t = self.table
         return t[t[self.inverse[y]][x]][y]
 
     def element_order(self, i: int) -> int:
+        """Least n with i^n the identity; no element of a group of order N
+        needs more than N steps, so a table that is not a group table raises
+        instead of looping."""
         t = self.table
-        n = 1
         acc = i
-        while acc != 0:
+        for n in range(1, len(self) + 1):
+            if acc == 0:
+                return n
             acc = t[acc][i]
-            n += 1
-        return n
+        raise ClosureError(f"element {i} has no order; not a group table")
 
     def order_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(self.element_order(i) for i in range(len(self))).items()))

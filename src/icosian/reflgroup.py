@@ -1,9 +1,10 @@
 """The order-120 quaternionic reflection group on 2 spinor coordinates.
 
-Builds the group three ways — from the f, g, h generator matrices, from the
-20 order-3 reflections attached to the 120 norm-3 roots, and (for the
-order-32 relative) from the four gamma matrices of the signature-(1,3)
-Clifford algebra — and cross-checks that they agree.
+The group G is closed once, from the f, g, h generator matrices.  Its words
+and subgroups (the diagonal subgroup, the group the 20 order-3 reflections
+of the 120 norm-3 roots generate) are index work on that closure's Cayley
+graph.  The order-32 relative is closed from the four gamma matrices of the
+signature-(1,3) Clifford algebra.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
 THIRD = Gold.of(Fraction(1, 3))
+LETTERS = "fgh"  # the generators, in closure order
 
 
 @dataclass(frozen=True)
@@ -60,16 +62,6 @@ def _check_relations(f: QMat2, g: QMat2, h: QMat2) -> None:
     for got, want in checks:
         if got != want:
             raise ValueError("generator relation failed; wrong omega/phi convention")
-
-
-def word(letters: str) -> QMat2:
-    """Product of generator letters, e.g. 'fgh' -> f*g*h ('' is the identity)."""
-    f, g, h = generators()
-    lookup = {"f": f, "g": g, "h": h}
-    acc = IDENTITY
-    for c in letters:
-        acc = acc * lookup[c]
-    return acc
 
 
 @cache
@@ -138,18 +130,28 @@ def build_o1() -> FiniteGroup[QMat2]:
     return FiniteGroup.closure(list(generators()), _mat_mul, IDENTITY, cap=10_000)
 
 
-@cache
-def reflection_group() -> FiniteGroup[QMat2]:
-    """The same group generated by the 20 reflections, as a second exact
-    closure; the checks get the same fact from subgroup_indices on build_o1."""
-    return FiniteGroup.closure(list(reflection_matrices()), _mat_mul, IDENTITY, cap=10_000)
+def word_index(letters: str) -> int:
+    """Index in G of a product of generator letters, e.g. 'fgh' -> f*g*h
+    ('' is the identity), folded along Cayley-graph edges."""
+    return build_o1().word_index(LETTERS.index(c) for c in letters)
+
+
+def word_string(i: int) -> str:
+    """The BFS word of element i of G in the letters f, g, h ('e' for 0)."""
+    return "".join(LETTERS[s] for s in build_o1().word(i)) or "e"
 
 
 @cache
-def diagonal_subgroup() -> FiniteGroup[QMat2]:
-    """<g, h>, the order-12 subgroup of diagonal matrices."""
-    _, g, h = generators()
-    return FiniteGroup.closure([g, h], _mat_mul, IDENTITY, cap=10_000)
+def reflection_group() -> frozenset[int]:
+    """The subgroup of G the 20 reflections generate, as an index set."""
+    group = build_o1()
+    return group.subgroup_indices(group.index(m) for m in reflection_matrices())
+
+
+@cache
+def diagonal_subgroup() -> frozenset[int]:
+    """<g, h>, the order-12 subgroup of diagonal matrices, as an index set."""
+    return build_o1().subgroup_indices([word_index("g"), word_index("h")])
 
 
 def _left_mul_matrix(q: Quat) -> list[list[Gold]]:
@@ -221,15 +223,16 @@ def gamma_group() -> FiniteGroup[QMat2]:
 def gamma_reflections() -> tuple[list[QMat2], list[QMat2]]:
     """(census, expected): non-central involutions vs the ten listed products."""
     group = gamma_group()
+    t = group.table
     central = [
         i
         for i in range(len(group))
-        if all(group.mul_idx(i, j) == group.mul_idx(j, i) for j in range(len(group)))
+        if all(t[i][j] == t[j][i] for j in range(len(group)))
     ]
     census = [
         group.elements[i]
         for i in range(len(group))
-        if i not in central and group.mul_idx(i, i) == 0
+        if i not in central and t[i][i] == 0
     ]
     g0, g1, g2, g3 = gamma_matrices()
     listed = []

@@ -1,5 +1,12 @@
 from icosian import census
+from icosian.qmat2 import QMat2
 from icosian.quat import ZERO as Q_ZERO
+from icosian.reflgroup import (
+    build_o1,
+    diagonal_subgroup,
+    reflection_group,
+    word_index,
+)
 
 
 def test_root_census_shape():
@@ -86,3 +93,24 @@ def test_order5_census():
     assert c["sign_classes_each"] == 4
     assert c["sign_classes_total"] == 24
     assert c["covered"] is True
+
+
+def test_index_work_makes_no_matrix_products(monkeypatch):
+    # once G is closed, its subgroups, words and censuses are index work on
+    # its Cayley graph
+    build_o1()
+    calls = 0
+    mul = QMat2.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(QMat2, "__mul__", counting_mul)
+    diagonal_subgroup.cache_clear()
+    reflection_group.cache_clear()
+    diagonal_subgroup(), reflection_group(), word_index("fghfgh")
+    census.order4_claims(), census.order4_structure()
+    census.order3_census(), census.order5_census()
+    assert calls == 0

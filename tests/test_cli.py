@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from icosian.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,6 +70,13 @@ def test_branch(capsys):
     code, out, _ = run(capsys, "branch")
     assert code == 0
     assert "spin  7/2: 2b+6" in out
+
+
+def test_branch_rejects_negative_max_two_j(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--max-two-j", "-1"])
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_decompose(capsys):

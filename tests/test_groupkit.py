@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -35,8 +36,8 @@ def test_closure_cap():
 def test_table_and_inverse():
     g = s3()
     for i in range(len(g)):
-        assert g.mul_idx(i, g.inverse[i]) == 0
-        assert g.mul_idx(g.inverse[i], i) == 0
+        assert g.table[i][g.inverse[i]] == 0
+        assert g.table[g.inverse[i]][i] == 0
 
 
 def test_element_orders():
@@ -45,13 +46,27 @@ def test_element_orders():
     assert g.order_histogram() == {1: 1, 2: 3, 3: 2}
 
 
-def test_words_evaluate_back():
+def test_element_order_rejects_a_corrupt_graph():
+    # with one edges row reversed the composed table is no group table:
+    # the powers of element 1 never return to the identity
     g = s3()
-    for i, w in enumerate(g.words):
-        acc = 0
+    g.edges = list(g.edges)
+    g.edges[1] = g.edges[1][::-1]
+    with pytest.raises(ClosureError):
+        g.element_order(1)
+
+
+def test_words_evaluate_back():
+    # each BFS word folds back to its element, by index and by exact product
+    g = s3()
+    assert g.word(0) == ()
+    for i in range(len(g)):
+        w = g.word(i)
+        assert g.word_index(w) == i
+        acc = IDENT4
         for j in w:
-            acc = g.table[acc][g.generator_indices[j]]
-        assert acc == i
+            acc = perm_mul(acc, S3_GENS[j])
+        assert acc == g.elements[i]
 
 
 def test_conjugacy_classes_of_s3():
@@ -121,29 +136,31 @@ def test_conjugation_orbits_rejects_unstable_items():
 # the table is composed from generator edges; the exhaustive product of
 # every pair is the reference these compare it with
 
-def assert_rows_match_products(g, rows):
+def assert_rows_match_products(g, mul, rows):
     for i in rows:
         for j in range(len(g)):
-            assert g.table[i][j] == g.index(g.mul(g.elements[i], g.elements[j]))
+            assert g.table[i][j] == g.index(mul(g.elements[i], g.elements[j]))
 
 
 def test_table_matches_exhaustive_products_s3():
     g = s3()
-    assert_rows_match_products(g, range(len(g)))
+    assert_rows_match_products(g, perm_mul, range(len(g)))
 
 
 def test_table_matches_exhaustive_products_gamma():
     g = gamma_group()
-    assert_rows_match_products(g, range(len(g)))
+    assert_rows_match_products(g, operator.mul, range(len(g)))
 
 
 def test_table_matches_products_on_generator_edges_and_sample_rows():
     g = build_o1()
+    gens = generators()
     for i in range(len(g)):
-        for s, gen in enumerate(g.generator_indices):
-            want = g.index(g.mul(g.elements[i], g.elements[gen]))
-            assert g.table[i][gen] == g.edges[i][s] == want
-    assert_rows_match_products(g, random.Random(3).sample(range(len(g)), 6))
+        for s, gen in enumerate(gens):
+            want = g.index(g.elements[i] * gen)
+            assert g.table[i][g.edges[0][s]] == g.edges[i][s] == want
+    assert_rows_match_products(g, operator.mul,
+                               random.Random(3).sample(range(len(g)), 6))
 
 
 def test_table_inverse_conjugacy_use_only_edge_products():

@@ -14,7 +14,8 @@ from icosian.reflgroup import (
     reflection_of,
     roots,
     two_reflection_census,
-    word,
+    word_index,
+    word_string,
 )
 
 
@@ -43,8 +44,15 @@ def test_diagonal_subgroup_order_12_and_maximal():
     g = build_o1()
     d = diagonal_subgroup()
     assert len(d) == 12
-    d_set = frozenset(g.index(m) for m in d.elements)
-    assert g.is_maximal(d_set)
+    assert g.is_maximal(d)
+
+
+def test_diagonal_subgroup_is_the_diagonal_matrices():
+    # the index set from <g, h> against the matrices' own entries
+    g = build_o1()
+    diagonal = {i for i, m in enumerate(g.elements)
+                if m.m12 == Q_ZERO and m.m21 == Q_ZERO}
+    assert diagonal_subgroup() == diagonal
 
 
 def test_order_histogram():
@@ -90,7 +98,12 @@ def test_anchor_reflection_is_g():
 
 
 def test_reflection_group_equals_generator_group():
-    assert reflection_group().element_set() == build_o1().element_set()
+    g = build_o1()
+    assert reflection_group() == frozenset(range(len(g)))
+    # reference: the 20 reflections closed as a group of their own
+    exact = FiniteGroup.closure(list(reflection_matrices()),
+                                lambda a, b: a * b, IDENTITY)
+    assert set(exact.elements) == set(g.elements)
 
 
 def test_fixed_space_census_matches_reflections():
@@ -126,8 +139,13 @@ def test_quaternion_model_two_reflection_census_is_75():
 
 def test_word_evaluation():
     f, g, h = generators()
-    assert word("") == IDENTITY
-    assert word("fgh") == f * g * h
+    group = build_o1()
+    assert word_index("") == 0
+    assert group.elements[word_index("fgh")] == f * g * h
+    assert group.elements[word_index("ghfgg")] == g * h * f * g * g
+    assert word_string(0) == "e"
+    for i in range(1, len(group)):
+        assert word_index(word_string(i)) == i
 
 
 def test_gamma_group_order_32():
