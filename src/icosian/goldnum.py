@@ -8,9 +8,10 @@ exposed as Fractions via the ``a`` and ``b`` properties.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 Ratish = int | Fraction
 
@@ -166,6 +167,22 @@ def _fraction_hash(num: int, den: int) -> int:
     # a few distinct denominators recur across a whole run; building the
     # Fraction costs ten times the cache lookup
     return hash(Fraction(num, den))
+
+
+def integer_pairs(values: Sequence[Gold]) -> tuple[list[int], int]:
+    """The values as interleaved Z[sqrt5] integer pairs over one denominator.
+
+    Returns ``([a0, b0, a1, b1, ...], d)`` with d > 0 the least common
+    denominator, so that ``values[k] == Gold(a_k, b_k, d)``.  This is the
+    one place that knows the format; the quaternion product and the
+    elimination run on these integers.
+    """
+    den = lcm(*[v.den for v in values])
+    out = []
+    for v in values:
+        f = den // v.den
+        out += (v.na, v.nb) if f == 1 else (v.na * f, v.nb * f)
+    return out, den
 
 
 def _coerce(x):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .goldnum import Gold, ZERO as G_ZERO, SIGMA, TAU
+from .goldnum import Gold, ZERO as G_ZERO, SIGMA, TAU, integer_pairs
 from .groupkit import FiniteGroup
 
 
@@ -38,13 +38,23 @@ class Quat:
 
     def __mul__(self, other):
         if isinstance(other, Quat):
-            a, b, c, d = self.w, self.x, self.y, self.z
-            e, f, g, h = other.w, other.x, other.y, other.z
+            # the Hamilton product on Z[sqrt5] integers: coefficients are
+            # (u + u5*sqrt5)/p and (v + v5*sqrt5)/q, and each of the 16 terms
+            # is ((u*v + 5*u5*v5) + (u*v5 + u5*v)*sqrt5)/(p*q)
+            (a, a5, b, b5, c, c5, d, d5), p = integer_pairs(
+                (self.w, self.x, self.y, self.z))
+            (e, e5, f, f5, g, g5, h, h5), q = integer_pairs(
+                (other.w, other.x, other.y, other.z))
+            den = p * q
             return Quat(
-                a * e - b * f - c * g - d * h,
-                a * f + b * e + c * h - d * g,
-                a * g - b * h + c * e + d * f,
-                a * h + b * g - c * f + d * e,
+                Gold(a*e - b*f - c*g - d*h + 5 * (a5*e5 - b5*f5 - c5*g5 - d5*h5),
+                     a*e5 + a5*e - b*f5 - b5*f - c*g5 - c5*g - d*h5 - d5*h, den),
+                Gold(a*f + b*e + c*h - d*g + 5 * (a5*f5 + b5*e5 + c5*h5 - d5*g5),
+                     a*f5 + a5*f + b*e5 + b5*e + c*h5 + c5*h - d*g5 - d5*g, den),
+                Gold(a*g - b*h + c*e + d*f + 5 * (a5*g5 - b5*h5 + c5*e5 + d5*f5),
+                     a*g5 + a5*g - b*h5 - b5*h + c*e5 + c5*e + d*f5 + d5*f, den),
+                Gold(a*h + b*g - c*f + d*e + 5 * (a5*h5 + b5*g5 - c5*f5 + d5*e5),
+                     a*h5 + a5*h + b*g5 + b5*g - c*f5 - c5*f + d*e5 + d5*e, den),
             )
         if isinstance(other, (Gold, int, Fraction)):
             s = _g(other)

@@ -37,24 +37,28 @@ def span_dim(mats: list[QMat2]) -> int:
 def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:
     """Smallest product-closed subspace containing mats.
 
-    Returns its dimension and a matrix basis.  Semi-naive: each basis element
-    is multiplied, once, by itself and on both sides by every earlier one, so
-    no ordered pair of basis elements is formed twice; products that enlarge
-    the span join the basis and take their turn later.
+    Returns its dimension and a matrix basis.  Closes on generator edges:
+    each basis element is multiplied once on the left by each independent
+    input, and products that enlarge the span join the basis and take their
+    turn later.  This is sound: the algebra is spanned by the words in the
+    inputs, every word longer than one letter is s*w with s an input and w a
+    shorter word, left multiplication by s is linear, and a dependent input
+    acts as a combination of the independent ones.  So the final span, which
+    holds the inputs and is mapped into itself by left multiplication with
+    each independent input, holds every word; each basis element is a word.
     """
     ech = Echelon(16)
-    basis: list[QMat2] = []
+    inputs: list[QMat2] = []
     for m in mats:
         if ech.add(flatten(m)):
-            basis.append(m)
+            inputs.append(m)
+    basis = list(inputs)
     k = 0
     # a span of all 16 coordinates is the whole matrix algebra, closed already
     while k < len(basis) and ech.dim < ech.width:
-        new = basis[k]
-        products = [new * new]
-        for old in basis[:k]:
-            products += [new * old, old * new]
-        for p in products:
+        w = basis[k]
+        for s in inputs:
+            p = s * w
             if ech.add(flatten(p)):
                 basis.append(p)
         k += 1

@@ -1,0 +1,107 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
+from icosian.goldnum import Gold, ZERO
+from icosian.linalg import Echelon, nullity, rank
+from icosian.reflgroup import build_o1
+from icosian.spans import span_dim
+from conftest import golds, nonzero_golds
+
+
+def reference_reduce(vec, rows, pivots):
+    """Reduce vec modulo reduced echelon rows (leading coefficient 1 at each pivot)."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            c = v[p]
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+class ReferenceEchelon:
+    """Reduced row echelon form in Gold arithmetic, with back-substitution."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def contains(self, vec):
+        return not any(reference_reduce(vec, self.rows, self.pivots))
+
+    def add(self, vec):
+        v = reference_reduce(vec, self.rows, self.pivots)
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is None:
+            return False
+        inv = v[pivot].inverse()
+        v = [a * inv for a in v]
+        for k, row in enumerate(self.rows):
+            if row[pivot]:
+                c = row[pivot]
+                self.rows[k] = [a - c * b for a, b in zip(row, v)]
+        pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.rows))
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pivot)
+        return True
+
+
+def combine(coeffs, rows):
+    out = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+@st.composite
+def planted_systems(draw):
+    """Rows that are Gold combinations of a few random rows, plus probe vectors."""
+    width = draw(st.integers(1, 6))
+    vec = st.lists(golds, min_size=width, max_size=width)
+    base = draw(st.lists(vec, min_size=1, max_size=4))
+    coeffs = st.lists(golds, min_size=len(base), max_size=len(base))
+    rows = [combine(draw(coeffs), base) for _ in range(draw(st.integers(1, 6)))]
+    probes = [combine(draw(coeffs), base) for _ in range(2)] + draw(st.lists(vec, max_size=2))
+    return rows, probes
+
+
+@given(planted_systems())
+def test_elimination_agrees_with_reference(system):
+    rows, probes = system
+    ref, ech = ReferenceEchelon(), Echelon(len(rows[0]))
+    for row in rows:
+        assert ech.add(row) == ref.add(row)
+    assert rank(rows) == ech.dim == len(ref.rows)
+    assert nullity(rows) == len(rows[0]) - len(ref.rows)
+    for p in probes + rows:
+        assert ech.contains(p) == ref.contains(p)
+
+
+@given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+    st.lists(nonzero_golds, min_size=w, max_size=w),
+    st.lists(st.lists(golds, min_size=w, max_size=w), min_size=w, max_size=w))))
+def test_full_span_absorbs_everything(data):
+    diagonal, fill = data
+    width = len(diagonal)
+    ech = Echelon(width)
+    for i in range(width):
+        # a nonzero entry at i and zeros before it: independent rows
+        assert ech.add([ZERO] * i + [diagonal[i]] + fill[i][i + 1:])
+    assert ech.dim == ech.width == width
+    for vec in fill:
+        assert not ech.add(vec)
+        assert ech.contains(vec)
+
+
+def test_elimination_makes_no_gold_products(monkeypatch):
+    elements = list(build_o1().elements)
+    calls = 0
+    mul = Gold.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Gold, "__mul__", counting_mul)
+    monkeypatch.setattr(Gold, "__rmul__", counting_mul)
+    assert span_dim(elements) == 16
+    assert calls == 0

@@ -2,7 +2,9 @@
 
 Scans the syntax tree of every other module of the package for float
 literals, float() calls and uses of the math module (only its integer
-functions may be imported by name).
+functions may be imported by name).  In the integer-kernel modules true
+division is flagged too: there an int / int slip makes a float that no
+literal shows.
 """
 import ast
 from pathlib import Path
@@ -12,12 +14,16 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "icosian"
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "perm", "factorial", "prod"}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "coincidence.py")
+INTEGER_KERNEL = {"goldnum.py", "quat.py", "qmat2.py", "linalg.py"}
 
 
-def float_uses(tree: ast.AST) -> list[str]:
+def float_uses(tree: ast.AST, integer_kernel: bool = False) -> list[str]:
     found = []
     for node in ast.walk(tree):
         where = f"line {getattr(node, 'lineno', '?')}"
+        if (integer_kernel and isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            found.append(f"{where}: true division")
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{where}: float literal {node.value!r}")
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -37,19 +43,22 @@ def float_uses(tree: ast.AST) -> list[str]:
 
 def test_modules_found():
     names = {p.name for p in MODULES}
-    assert {"goldnum.py", "checks.py", "cli.py"} <= names
+    assert {"goldnum.py", "checks.py", "cli.py"} | INTEGER_KERNEL <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_float_outside_coincidence(path):
-    assert float_uses(ast.parse(path.read_text(), str(path))) == []
+    tree = ast.parse(path.read_text(), str(path))
+    assert float_uses(tree, path.name in INTEGER_KERNEL) == []
 
 
 def test_scanner_flags_each_kind():
     src = ("import math\nfrom math import sin\nx = 0.5\ny = float(1)\n"
-           "z = math.pi\nfrom math import gcd\n")
-    kinds = [f.split(": ", 1)[1] for f in float_uses(ast.parse(src))]
+           "z = math.pi\nfrom math import gcd\nw = x / 2\nw /= 3\nv = x // 2\n")
+    kinds = [f.split(": ", 1)[1] for f in float_uses(ast.parse(src), True)]
     assert sorted(kinds) == sorted([
         "import math", "non-integer import from math", "float literal 0.5",
-        "float() call", "math.pi",
+        "float() call", "math.pi", "true division", "true division",
     ])
+    # outside the integer kernel, / on Gold values is exact
+    assert float_uses(ast.parse("w = x / 2\n")) == []

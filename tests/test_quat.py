@@ -2,11 +2,34 @@ import pytest
 from hypothesis import example, given
 
 from icosian.goldnum import Gold
+from icosian.qmat2 import QMat2
 from icosian.quat import (
     I, J, K, OMEGA, ONE, PHI, Quat, THETA, ZERO,
     scalar_group, so3_image,
 )
+from icosian.reflgroup import build_o1, generators
 from conftest import nonzero_quats, quats
+
+
+def textbook_product(p: Quat, q: Quat) -> Quat:
+    """The Hamilton product as 16 Gold products: the reference for the kernel."""
+    a, b, c, d = p.w, p.x, p.y, p.z
+    e, f, g, h = q.w, q.x, q.y, q.z
+    return Quat(
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
+def textbook_matrix_product(m: QMat2, n: QMat2) -> QMat2:
+    return QMat2(
+        textbook_product(m.m11, n.m11) + textbook_product(m.m12, n.m21),
+        textbook_product(m.m11, n.m12) + textbook_product(m.m12, n.m22),
+        textbook_product(m.m21, n.m11) + textbook_product(m.m22, n.m21),
+        textbook_product(m.m21, n.m12) + textbook_product(m.m22, n.m22),
+    )
 
 
 def test_hamilton_table():
@@ -52,6 +75,26 @@ def test_so3_image():
 
 def test_omega_phi_do_not_commute():
     assert OMEGA * PHI != PHI * OMEGA
+
+
+@given(quats, quats)
+@example(ZERO, ZERO)
+@example(ZERO, PHI)
+@example(PHI, OMEGA)
+@example(Quat(Gold(1, 2, 3), Gold(-2, 0, 3), Gold(0, 1, 3), Gold(5)),
+         Quat(Gold(3, -1, 4), Gold(1, 0, 4), Gold(-7, 3, 4), Gold(0, 1, 2)))
+def test_product_matches_textbook_formula(p, q):
+    assert p * q == textbook_product(p, q)
+
+
+def test_generator_edge_products_match_textbook_formula():
+    # the 360 exact products that build G, each against the entrywise formula
+    group, gens = build_o1(), generators()
+    for i, x in enumerate(group.elements):
+        for s, gen in enumerate(gens):
+            want = textbook_matrix_product(x, gen)
+            assert x * gen == want
+            assert group.elements[group.edges[i][s]] == want
 
 
 @given(quats, quats)

@@ -1,8 +1,10 @@
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icosian.goldnum import Gold
+from icosian.linalg import Echelon
 from icosian.qmat2 import IDENTITY, QMat2
 from icosian.quat import Quat
 from icosian.reflgroup import build_o1, generators, reflection_matrices
@@ -20,6 +22,29 @@ from conftest import golds, quats
 
 mats = st.builds(QMat2, quats, quats, quats, quats)
 coord_vectors = st.lists(golds, min_size=16, max_size=16)
+small_golds = st.builds(Gold, st.integers(-2, 2), st.integers(-1, 1), st.sampled_from([1, 2]))
+small_quats = st.builds(Quat, small_golds, small_golds, small_golds, small_golds)
+small_mats = st.builds(QMat2, small_quats, small_quats, small_quats, small_quats)
+ONE, ZERO = Quat.of(1), Quat.of(0)
+E12, E21 = QMat2(ZERO, ONE, ZERO, ZERO), QMat2(ZERO, ZERO, ONE, ZERO)
+
+
+def reference_closure_dim(mats):
+    """All-pairs semi-naive closure: each basis element times itself and, on
+    both sides, every earlier one."""
+    ech = Echelon(16)
+    basis = [m for m in mats if ech.add(flatten(m))]
+    k = 0
+    while k < len(basis) and ech.dim < ech.width:
+        new = basis[k]
+        products = [new * new]
+        for old in basis[:k]:
+            products += [new * old, old * new]
+        for p in products:
+            if ech.add(flatten(p)):
+                basis.append(p)
+        k += 1
+    return ech.dim
 
 
 @given(coord_vectors)
@@ -76,9 +101,57 @@ def test_closure_monotone_and_idempotent():
 
 def test_closure_forms_products_in_both_orders():
     # e12 * e21 = e11 and e21 * e12 = e22: only both orders give all four
-    one, zero = Quat.of(1), Quat.of(0)
-    e12, e21 = QMat2(zero, one, zero, zero), QMat2(zero, zero, one, zero)
-    assert algebra_closure_dim([e12, e21]) == algebra_closure_dim([e21, e12]) == 4
+    assert algebra_closure_dim([E12, E21]) == algebra_closure_dim([E21, E12]) == 4
+
+
+def test_closure_matches_all_pairs_reference_on_group_sets():
+    g = build_o1()
+    rng = random.Random(11)
+    _, gen_g, gen_h = generators()
+    cases = [[IDENTITY, gen_g, gen_g * gen_g], [IDENTITY, gen_g, gen_g * gen_g, gen_h],
+             list(reflection_matrices())]
+    for _ in range(40):
+        cases.append([g.elements[rng.randrange(len(g))]
+                      for _ in range(rng.randint(2, 3))])
+    for case in cases:
+        assert algebra_closure_dim(case) == reference_closure_dim(case)
+
+
+def test_closure_matches_reference_on_singular_inputs():
+    # non-invertible inputs; e12 squares to zero, so its algebra is its line
+    for case in ([E12], [E12, E21], [E12, E12 + E12]):
+        assert algebra_closure_dim(case) == reference_closure_dim(case)
+    assert algebra_closure_dim([E12]) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_mats, small_mats)
+def test_closure_matches_reference_on_small_pairs(a, b):
+    assert algebra_closure_dim([a, b]) == reference_closure_dim([a, b])
+
+
+def test_closure_multiplies_on_generator_edges_only(monkeypatch):
+    # each processed basis element is multiplied once by each independent input
+    g = build_o1()
+    calls = 0
+    mul = QMat2.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(QMat2, "__mul__", counting_mul)
+    cases = [list(reflection_matrices()), [E12, E21, E12 + E21],
+             [g.elements[5], g.elements[17], g.elements[5]]]
+    total = 0
+    for case in cases:
+        independent = span_dim(case)
+        calls = 0
+        _, basis = algebra_closure(case)
+        assert calls <= independent * len(basis)
+        total += calls
+    assert total > 0
 
 
 def test_closure_equals_span_of_generated_subgroup():
