@@ -204,18 +204,38 @@ class FiniteGroup(Generic[T]):
                     queue.append(p)
         return frozenset(seen)
 
+    def generating_set(self, indices: Iterable[int]) -> list[int]:
+        """A subset of the indices that generates the same subgroup.
+
+        Walks the sorted indices and keeps an element only if the ones kept
+        so far do not generate it.  Each kept element enlarges the subgroup
+        generated so far, which by Lagrange at least doubles its order, so
+        at most log2|H| elements are kept for a subgroup H.
+        """
+        gens: list[int] = []
+        span = frozenset({0})
+        for i in sorted(indices):
+            if i not in span:
+                gens.append(i)
+                span = self.subgroup_indices(gens)
+        return gens
+
     def is_subgroup_set(self, indices: frozenset[int]) -> bool:
         t = self.table
         return 0 in indices and all(t[i][j] in indices for i in indices for j in indices)
 
     def is_maximal(self, sub: frozenset[int]) -> bool:
-        """True iff sub is a proper subgroup that every extra element completes."""
+        """True iff sub is a proper subgroup that every extra element completes.
+
+        Each candidate closes ``generating_set(sub) + [x]``, which generates
+        the same subgroup as sub with x adjoined.
+        """
         if not self.is_subgroup_set(sub):
             raise ClosureError("not a subgroup of this group")
         n = len(self)
         if len(sub) == n:
             return False
-        gens = list(sub)
+        gens = self.generating_set(sub)
         for x in range(n):
             if x in sub:
                 continue
@@ -232,13 +252,22 @@ class FiniteGroup(Generic[T]):
 
         Items are element-index sets (e.g. {x, -x} pairs); conjugation must map
         each item onto an item, otherwise the action is not well defined.
+
+        Only a generating set of H acts (``generating_set``), which is sound:
+        conjugation by a generator is a bijection of G, so it maps the finite
+        item set injectively, and if into itself then onto it; a permutation
+        of the items for every generator makes every element of H, a product
+        of generators, permute them too.  So ``ClosureError`` fires exactly
+        when some element of H moves an item off the list.  And since each
+        inverse in a finite group is a positive power, the H-orbits are the
+        components reached by following the generators' images forward.
         """
         item_index = {item: k for k, item in enumerate(items)}
-        h = list(h_indices)
+        gens = self.generating_set(h_indices)
         images = []
         for item in items:
             row = []
-            for y in h:
+            for y in gens:
                 img = frozenset(self.conj_idx(i, y) for i in item)
                 if img not in item_index:
                     raise ClosureError("conjugation does not preserve the item set")

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goldnum import Gold
-from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO
+from .goldnum import Gold, integer_pairs
+from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, from_integer_pairs, hamilton
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +65,19 @@ class QMat2:
 
     def __mul__(self, other):
         if isinstance(other, QMat2):
-            return QMat2(
-                self.m11 * other.m11 + self.m12 * other.m21,
-                self.m11 * other.m12 + self.m12 * other.m22,
-                self.m21 * other.m11 + self.m22 * other.m21,
-                self.m21 * other.m12 + self.m22 * other.m22,
-            )
+            # entry (r, c) is m_r1*n_1c + m_r2*n_2c; both Hamilton products
+            # are over p*q, so they add as integers before one reduction
+            m, p = integer_pairs(flatten(self))
+            n, q = integer_pairs(flatten(other))
+            den = p * q
+            entries = []
+            for r in (0, 16):  # m_r1 starts at r, m_r2 at r + 8
+                for c in (0, 8):  # n_1c starts at c, n_2c at c + 16
+                    u = hamilton(m[r:r + 8], n[c:c + 8])
+                    v = hamilton(m[r + 8:r + 16], n[c + 16:c + 24])
+                    entries.append(from_integer_pairs(
+                        [s + t for s, t in zip(u, v)], den))
+            return QMat2(*entries)
         return NotImplemented
 
     def __add__(self, other: "QMat2") -> "QMat2":
@@ -108,6 +115,14 @@ class QMat2:
 
     def __str__(self) -> str:
         return self.key()
+
+
+def flatten(m: QMat2) -> list[Gold]:
+    """16 coordinates: entries in reading order, each as (w, x, y, z)."""
+    out = []
+    for q in (m.m11, m.m12, m.m21, m.m22):
+        out += [q.w, q.x, q.y, q.z]
+    return out
 
 
 IDENTITY = QMat2.diag(Q_ONE, Q_ONE)

@@ -6,6 +6,7 @@ order 12; theta = omega - omega^2 = i + j + k squares to -3.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -38,24 +39,9 @@ class Quat:
 
     def __mul__(self, other):
         if isinstance(other, Quat):
-            # the Hamilton product on Z[sqrt5] integers: coefficients are
-            # (u + u5*sqrt5)/p and (v + v5*sqrt5)/q, and each of the 16 terms
-            # is ((u*v + 5*u5*v5) + (u*v5 + u5*v)*sqrt5)/(p*q)
-            (a, a5, b, b5, c, c5, d, d5), p = integer_pairs(
-                (self.w, self.x, self.y, self.z))
-            (e, e5, f, f5, g, g5, h, h5), q = integer_pairs(
-                (other.w, other.x, other.y, other.z))
-            den = p * q
-            return Quat(
-                Gold(a*e - b*f - c*g - d*h + 5 * (a5*e5 - b5*f5 - c5*g5 - d5*h5),
-                     a*e5 + a5*e - b*f5 - b5*f - c*g5 - c5*g - d*h5 - d5*h, den),
-                Gold(a*f + b*e + c*h - d*g + 5 * (a5*f5 + b5*e5 + c5*h5 - d5*g5),
-                     a*f5 + a5*f + b*e5 + b5*e + c*h5 + c5*h - d*g5 - d5*g, den),
-                Gold(a*g - b*h + c*e + d*f + 5 * (a5*g5 - b5*h5 + c5*e5 + d5*f5),
-                     a*g5 + a5*g - b*h5 - b5*h + c*e5 + c5*e + d*f5 + d5*f, den),
-                Gold(a*h + b*g - c*f + d*e + 5 * (a5*h5 + b5*g5 - c5*f5 + d5*e5),
-                     a*h5 + a5*h + b*g5 + b5*g - c*f5 - c5*f + d*e5 + d5*e, den),
-            )
+            u, p = integer_pairs((self.w, self.x, self.y, self.z))
+            v, q = integer_pairs((other.w, other.x, other.y, other.z))
+            return from_integer_pairs(hamilton(u, v), p * q)
         if isinstance(other, (Gold, int, Fraction)):
             s = _g(other)
             return Quat(self.w * s, self.x * s, self.y * s, self.z * s)
@@ -98,6 +84,35 @@ class Quat:
 
     def to_json(self) -> list:
         return [c.to_json() for c in (self.w, self.x, self.y, self.z)]
+
+
+def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    """The Hamilton product on Z[sqrt5] integers.
+
+    x and y hold the coefficients (w, x, y, z) of two quaternions in the
+    ``integer_pairs`` format, 8 ints each (rational part, sqrt5 part, ...)
+    over a common denominator; the result is the product's 8 ints over the
+    product of the two denominators.  Each of the 16 terms is
+    (u + u5*sqrt5)(v + v5*sqrt5) = (u*v + 5*u5*v5) + (u*v5 + u5*v)*sqrt5.
+    """
+    a, a5, b, b5, c, c5, d, d5 = x
+    e, e5, f, f5, g, g5, h, h5 = y
+    return (
+        a*e - b*f - c*g - d*h + 5 * (a5*e5 - b5*f5 - c5*g5 - d5*h5),
+        a*e5 + a5*e - b*f5 - b5*f - c*g5 - c5*g - d*h5 - d5*h,
+        a*f + b*e + c*h - d*g + 5 * (a5*f5 + b5*e5 + c5*h5 - d5*g5),
+        a*f5 + a5*f + b*e5 + b5*e + c*h5 + c5*h - d*g5 - d5*g,
+        a*g - b*h + c*e + d*f + 5 * (a5*g5 - b5*h5 + c5*e5 + d5*f5),
+        a*g5 + a5*g - b*h5 - b5*h + c*e5 + c5*e + d*f5 + d5*f,
+        a*h + b*g - c*f + d*e + 5 * (a5*h5 + b5*g5 - c5*f5 + d5*e5),
+        a*h5 + a5*h + b*g5 + b5*g - c*f5 - c5*f + d*e5 + d5*e,
+    )
+
+
+def from_integer_pairs(ints: Sequence[int], den: int) -> Quat:
+    """The quaternion whose 8 ``integer_pairs`` ints over den are given."""
+    return Quat(Gold(ints[0], ints[1], den), Gold(ints[2], ints[3], den),
+                Gold(ints[4], ints[5], den), Gold(ints[6], ints[7], den))
 
 
 def _g(v) -> Gold:

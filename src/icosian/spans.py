@@ -12,19 +12,11 @@ from functools import cache
 
 from .goldnum import Gold
 from .linalg import Echelon
-from .qmat2 import IDENTITY, QMat2
+from .qmat2 import IDENTITY, QMat2, flatten
 from .quat import PHI, Quat, THETA, ZERO as Q_ZERO
 from .reflgroup import build_o1, generators, reflection_matrices
 
 THIRD = Gold(1, 0, 3)
-
-
-def flatten(m: QMat2) -> list[Gold]:
-    """16 coordinates: entries in reading order, each as (w, x, y, z)."""
-    out = []
-    for q in (m.m11, m.m12, m.m21, m.m22):
-        out += [q.w, q.x, q.y, q.z]
-    return out
 
 
 def span_dim(mats: list[QMat2]) -> int:

@@ -1,6 +1,8 @@
 import copy
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icosian.chars import (
     CharVector, LABELS, build_quat_lift, char_table, format_decomposition,
@@ -8,6 +10,7 @@ from icosian.chars import (
 )
 from icosian.goldnum import Gold
 from icosian.reflgroup import build_o1
+from conftest import golds
 
 
 def ct():
@@ -51,6 +54,33 @@ def test_row_orthonormality():
     for i, a in enumerate(table.irreducibles):
         for j, b in enumerate(table.irreducibles):
             assert table.inner(a, b) == (one if i == j else zero)
+
+
+def reference_inner(table, chi, psi):
+    """The inner product as a sum of Gold products: the integer form's reference."""
+    total = Gold(0)
+    for size, a, b in zip(table.class_sizes, chi.values, psi.values):
+        total = total + a * b * Gold(size)
+    return total / Gold(len(table.group))
+
+
+def test_inner_matches_gold_sum_on_irreducibles_and_hyperspins():
+    table = ct()
+    spins = [table.hyperspin(tj) for tj in range(25)]
+    for chi in table.irreducibles:
+        for psi in table.irreducibles + tuple(spins):
+            assert table.inner(chi, psi) == reference_inner(table, chi, psi)
+            assert table.inner(psi, chi) == reference_inner(table, psi, chi)
+
+
+class_functions = st.lists(golds, min_size=9, max_size=9).map(
+    lambda values: CharVector(tuple(values)))
+
+
+@given(class_functions, class_functions)
+def test_inner_matches_gold_sum_on_class_functions(chi, psi):
+    table = ct()
+    assert table.inner(chi, psi) == reference_inner(table, chi, psi)
 
 
 def test_column_orthogonality():

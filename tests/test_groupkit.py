@@ -5,7 +5,9 @@ import pytest
 
 from icosian.groupkit import ClosureError, FiniteGroup
 from icosian.qmat2 import IDENTITY
-from icosian.reflgroup import build_o1, gamma_group, generators
+from icosian.reflgroup import (
+    build_o1, diagonal_subgroup, gamma_group, generators, reflection_group,
+)
 
 
 def perm_mul(p, q):
@@ -174,3 +176,150 @@ def test_table_inverse_conjugacy_use_only_edge_products():
     g = FiniteGroup.closure(list(generators()), counting_mul, IDENTITY)
     g.table, g.inverse, g.conjugacy
     assert calls == len(g) * len(generators()) == 360
+
+
+# conjugation_orbits and is_maximal act through a generating set; the
+# all-of-H and all-of-sub forms they replaced are the references here
+
+def reference_conjugation_orbits(g, h_indices, items):
+    """Every item conjugated by every element of H."""
+    item_index = {item: k for k, item in enumerate(items)}
+    images = []
+    for item in items:
+        row = []
+        for y in h_indices:
+            img = frozenset(g.conj_idx(i, y) for i in item)
+            if img not in item_index:
+                raise ClosureError("conjugation does not preserve the item set")
+            row.append(item_index[img])
+        images.append(row)
+    orbits, seen = [], set()
+    for k in range(len(items)):
+        if k in seen:
+            continue
+        orbit, stack = {k}, [k]
+        while stack:
+            for img in images[stack.pop()]:
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
+def reference_is_maximal(g, sub):
+    """Closes all of sub with each extra element."""
+    if len(sub) == len(g):
+        return False
+    return all(len(g.subgroup_indices(list(sub) + [x])) == len(g)
+               for x in range(len(g)) if x not in sub)
+
+
+def g_families(g):
+    """The census item families: order-3 inverse pairs, order-4 sign pairs
+    and all +-pairs."""
+    t, minus = g.table, g.index(-IDENTITY)
+    pm = [frozenset({i, t[minus][i]}) for i in range(len(g))]
+    return [
+        sorted({frozenset({i, g.inverse[i]}) for i in range(len(g))
+                if g.element_order(i) == 3}, key=min),
+        sorted({pm[i] for i in range(len(g)) if g.element_order(i) == 4}, key=min),
+        sorted(set(pm), key=min),
+    ]
+
+
+def small_families(g):
+    """Every element alone, and every inverse pair."""
+    return [[frozenset({i}) for i in range(len(g))],
+            sorted({frozenset({i, g.inverse[i]}) for i in range(len(g))}, key=min)]
+
+
+def g_subgroups():
+    g = build_o1()
+    rng = random.Random(11)
+    subs = [diagonal_subgroup(), reflection_group()]
+    for _ in range(40):
+        subs.append(g.subgroup_indices(
+            rng.randrange(len(g)) for _ in range(rng.randint(1, 3))))
+    return subs
+
+
+def all_subgroups(g):
+    """Every subgroup, found by adjoining one element at a time from {0}."""
+    subs = {frozenset({0}): [0]}
+    frontier = list(subs.items())
+    while frontier:
+        grown = []
+        for h, gens in frontier:
+            for x in range(len(g)):
+                s = g.subgroup_indices(gens + [x])
+                if s not in subs:
+                    subs[s] = gens + [x]
+                    grown.append((s, gens + [x]))
+        frontier = grown
+    return list(subs)
+
+
+def reference_cases():
+    """(group, subgroups, item families) on which to compare."""
+    gamma = gamma_group()
+    return [
+        (build_o1(), g_subgroups(), g_families(build_o1())),
+        (s3(), all_subgroups(s3()), small_families(s3())),
+        (gamma, all_subgroups(gamma), small_families(gamma)),
+    ]
+
+
+def test_conjugation_orbits_match_all_of_h_reference():
+    for g, subs, families in reference_cases():
+        for h in subs:
+            for items in families:
+                assert g.conjugation_orbits(h, items) == \
+                    reference_conjugation_orbits(g, h, items)
+
+
+def test_is_maximal_matches_all_of_sub_reference():
+    answers = []
+    for g, subs, _ in reference_cases():
+        for sub in subs:
+            answers.append(g.is_maximal(sub))
+            assert answers[-1] == reference_is_maximal(g, sub)
+    assert True in answers and False in answers
+
+
+def test_generating_set():
+    for g, subs, _ in reference_cases():
+        for h in subs:
+            gens = g.generating_set(h)
+            assert set(gens) <= h
+            assert g.subgroup_indices(gens) == h
+            for k, x in enumerate(gens):
+                assert x not in g.subgroup_indices(gens[:k])
+            assert 2 ** len(gens) <= len(h)
+
+
+def test_unstable_items_raise_when_only_a_later_generator_moves_them():
+    g = s3()
+    a, b = g.generating_set(range(len(g)))
+    items = [frozenset({0}), frozenset({a})]
+    assert g.conj_idx(a, a) == a          # the first generator keeps the items
+    assert g.conj_idx(a, b) not in (0, a)  # the second moves {a} off the list
+    with pytest.raises(ClosureError):
+        reference_conjugation_orbits(g, range(len(g)), items)
+    with pytest.raises(ClosureError):
+        g.conjugation_orbits(range(len(g)), items)
+
+
+def test_is_maximal_closes_few_generators(monkeypatch):
+    g = build_o1()
+    sizes = []
+    subgroup_indices = g.subgroup_indices
+
+    def guarded(gen_indices):
+        gens = list(gen_indices)
+        sizes.append(len(gens))
+        return subgroup_indices(gens)
+    monkeypatch.setattr(g, "subgroup_indices", guarded)
+    assert g.is_maximal(diagonal_subgroup())
+    assert sizes and max(sizes) <= 5

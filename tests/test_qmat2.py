@@ -1,13 +1,49 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icosian.goldnum import Gold
 from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, inner, spinor_norm2
-from icosian.quat import ONE as Q_ONE, Quat
+from icosian.quat import ONE as Q_ONE, ZERO as Q_ZERO, Quat
+from icosian.reflgroup import build_o1, generators
 from conftest import quats
 
 spinors = st.builds(Spinor2, quats, quats)
 mats = st.builds(QMat2, quats, quats, quats, quats)
+
+
+def entrywise_product(m: QMat2, n: QMat2) -> QMat2:
+    """The matrix product as Quat products and sums: the kernel's reference."""
+    return QMat2(
+        m.m11 * n.m11 + m.m12 * n.m21,
+        m.m11 * n.m12 + m.m12 * n.m22,
+        m.m21 * n.m11 + m.m22 * n.m21,
+        m.m21 * n.m12 + m.m22 * n.m22,
+    )
+
+
+ZERO_MAT = QMat2.diag(Q_ZERO, Q_ZERO)
+THIRDS = QMat2(Quat(Gold(1, 2, 3), Gold(-2, 0, 3), Gold(0, 1, 3), Gold(5)),
+               Quat.of(1, 0, -1, 2), Quat(Gold(4, 0, 3), Gold(0), Gold(1), Gold(0, -1, 3)),
+               Quat(Gold(2, 1, 3), Gold(0), Gold(-1, 1, 3), Gold(7, 0, 3)))
+QUARTERS = QMat2(Quat(Gold(3, -1, 4), Gold(1, 0, 4), Gold(-7, 3, 4), Gold(0, 1, 2)),
+                 Quat(Gold(1, 1, 4), Gold(0), Gold(5, 0, 4), Gold(-1)),
+                 Quat.of(0, 2, 0, -3), Quat(Gold(0, 3, 4), Gold(1, 0, 2), Gold(1), Gold(-3, 1, 4)))
+
+
+@given(mats, mats)
+@example(ZERO_MAT, ZERO_MAT)
+@example(ZERO_MAT, IDENTITY)
+@example(IDENTITY, THIRDS)
+@example(THIRDS, QUARTERS)
+def test_product_matches_entrywise_formula(a, b):
+    assert a * b == entrywise_product(a, b)
+
+
+def test_generator_edge_products_match_entrywise_formula():
+    group, gens = build_o1(), generators()
+    for x in group.elements:
+        for gen in gens:
+            assert x * gen == entrywise_product(x, gen)
 
 
 def test_identity():
