@@ -8,8 +8,10 @@ exponent convention throughout is x^y = y^-1 x y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
+from .claim import Claim
 from .groupkit import FiniteGroup
 from .qmat2 import MINUS_IDENTITY, QMat2
 from .quat import ZERO as Q_ZERO, scalar_group, so3_image
@@ -91,12 +93,25 @@ def _sign_pair(G, minus: int, i: int) -> frozenset[int]:
     return frozenset({i, G.table[i][minus]})
 
 
-def _orbit_of(census_orbits, items, item: frozenset[int]) -> int:
-    pos = items.index(item)
-    for k, orbit in enumerate(census_orbits):
-        if pos in orbit:
-            return k
-    raise ValueError("item not covered by any orbit")
+def _listed_index(G: FiniteGroup[QMat2], token: str) -> int:
+    if "^" in token:
+        base, by = token.split("^")
+        return G.conj_idx(word_index(base), word_index(by))
+    return word_index(token)
+
+
+def _family_claims(G, census: OrbitCensus, item_of) -> list[Claim]:
+    """For each listed family, the claim that the items of its words, under
+    item_of(index), make up one whole orbit."""
+    claims = []
+    for name, tokens in census.listed.items():
+        pos = [census.items.index(item_of(_listed_index(G, t))) for t in tokens]
+        hit = [orbit for orbit in census.orbits if not orbit.isdisjoint(pos)]
+        spanned = sum(len(orbit) for orbit in hit)  # orbits are disjoint
+        claims.append(Claim(f"family {name} is one orbit of {len(tokens)}",
+                            "1 orbit", f"{len(hit)} orbit(s) spanning {spanned} pairs",
+                            len(hit) == 1 and spanned == len(tokens)))
+    return claims
 
 
 # -- order 4 ------------------------------------------------------------
@@ -106,13 +121,6 @@ ORDER4_LISTED = {
     "photon-like": ("f", "f^g", "f^gg", "f^h", "f^gh", "f^hg"),
     "paired-products": ("f^ghf", "f^hgf", "f^ghfg", "f^hgfg", "f^ghfgg", "f^hgfgg"),
 }
-
-
-def _listed_index(G: FiniteGroup[QMat2], token: str) -> int:
-    if "^" in token:
-        base, by = token.split("^")
-        return G.conj_idx(word_index(base), word_index(by))
-    return word_index(token)
 
 
 def order4_census() -> OrbitCensus:
@@ -135,35 +143,15 @@ def order4_census() -> OrbitCensus:
                        ORDER4_LISTED)
 
 
-def order4_claims() -> list[dict]:
+def order4_claims() -> list[Claim]:
     """Pass/fail record of the stated order-4 orbit expectations."""
     G, _, minus = _group_data()
     census = order4_census()
-    items = list(census.items)
-    checks = [
-        {"name": "15 sign-pairs of order-4 elements", "expected": "15",
-         "actual": str(len(items)), "pass": len(items) == 15},
-        {"name": "orbit sizes 3+6+6", "expected": "(3, 6, 6)",
-         "actual": str(census.orbit_sizes),
-         "pass": census.orbit_sizes == (3, 6, 6)},
+    return [
+        Claim.of("15 sign-pairs of order-4 elements", 15, len(census.items)),
+        Claim.of("orbit sizes 3+6+6", (3, 6, 6), census.orbit_sizes),
+        *_family_claims(G, census, partial(_sign_pair, G, minus)),
     ]
-    for name, tokens in ORDER4_LISTED.items():
-        ks = {
-            _orbit_of(census.orbits, items,
-                      _sign_pair(G, minus, _listed_index(G, t)))
-            for t in tokens
-        }
-        union = set()
-        for k in ks:
-            union |= set(census.orbits[k])
-        one_orbit = len(ks) == 1 and len(union) == len(tokens)
-        checks.append({
-            "name": f"family {name} is one orbit of {len(tokens)}",
-            "expected": "1 orbit",
-            "actual": f"{len(ks)} orbit(s) spanning {len(union)} pairs",
-            "pass": one_orbit,
-        })
-    return checks
 
 
 def q8_subgroups() -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
@@ -273,13 +261,9 @@ def order3_census() -> OrbitCensus:
                          ORDER3_LISTED)
     if census.orbit_sizes != (1, 3, 6):
         raise ValueError(f"order-3 orbit sizes {census.orbit_sizes}")
-    for name, tokens in ORDER3_LISTED.items():
-        ks = set()
-        for t in tokens:
-            i = _listed_index(G, t)
-            ks.add(_orbit_of(orbits, items, frozenset({i, G.inverse[i]})))
-        if len(ks) != 1 or len(orbits[ks.pop()]) != len(tokens):
-            raise ValueError(f"listed family {name} is not one full orbit")
+    for c in _family_claims(G, census, lambda i: frozenset({i, G.inverse[i]})):
+        if not c.ok:
+            raise ValueError(f"{c.name} fails: {c.actual}")
     # the listed inverses pair up: (fh)^-1 = hf since f^2 = h^2 = -1
     if G.inverse[word_index("fh")] != word_index("hf"):
         raise ValueError("(fh)^-1 != hf")

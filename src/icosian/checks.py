@@ -2,7 +2,8 @@
 
 Each check is declared with the @check decorator, which carries its stable
 dotted id, a short description, the claim and the expected value
-statically; the body computes only the actual value.  Exact checks compare
+statically; the body computes only the actual value, returned as Claimed
+together with its sub-claims where it has any.  Exact checks compare
 structurally; the coincidence checks return the list of display-precision
 failures from the coincidence module.  Claims that the exact computation
 contradicts are flagged known_defect and stay in the registry as failures.
@@ -12,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from typing import NamedTuple
 
 from . import census, coincidence, spans
 from .chars import LABELS, char_table, format_decomposition, gauge_bookkeeping
+from .claim import Claim
 from .goldnum import Gold
 from .qmat2 import IDENTITY, Spinor2, spinor_norm2
 from .quat import THETA, ZERO as Q_ZERO, Quat
@@ -24,6 +27,7 @@ from .reflgroup import (
     gamma_group,
     gamma_reflections,
     generators,
+    group_reflections,
     reflection_group,
     reflection_matrices,
     reflection_of,
@@ -40,6 +44,7 @@ class CheckResult:
     expected: str
     actual: str
     status: str  # "pass" or "fail"
+    claims: tuple[Claim, ...]
 
     @property
     def ok(self) -> bool:
@@ -53,6 +58,7 @@ class CheckResult:
             "expected": self.expected,
             "actual": self.actual,
             "status": self.status,
+            "claims": [c.to_json() for c in self.claims],
         }
 
 
@@ -81,6 +87,12 @@ class VerificationReport:
         }
 
 
+class Claimed(NamedTuple):
+    """A check body's actual value together with its sub-claims."""
+    actual: object
+    claims: list[Claim]
+
+
 _registered = []
 
 
@@ -91,7 +103,8 @@ def check(id_: str, description: str, claim: str, expected,
     The metadata is stored on the returned zero-argument callable, so the
     registry can be listed and filtered without running anything.  A
     ValueError raised by the body becomes a failing row whose actual value
-    is the error text.
+    is the error text.  The row passes when the actual value equals the
+    expected one and every sub-claim the body returned holds.
     """
     def register(body):
         @wraps(body)
@@ -100,9 +113,11 @@ def check(id_: str, description: str, claim: str, expected,
                 actual = body()
             except ValueError as e:
                 actual = str(e)
-            status = "pass" if expected == actual else "fail"
+            actual, claims = actual if isinstance(actual, Claimed) else (actual, [])
+            ok = expected == actual and all(c.ok for c in claims)
             return CheckResult(id_, description, claim, str(expected),
-                               str(actual), status)
+                               str(actual), "pass" if ok else "fail",
+                               tuple(claims))
         run.id = id_
         run.description = description
         run.claim = claim
@@ -152,13 +167,16 @@ def check_roots_norm():
        (20, [3], 10, True, True))
 def check_roots_reflections():
     g_full = build_o1()
-    refl = reflection_matrices()
-    orders = {g_full.element_order(g_full.index(m)) for m in refl}
-    pairs = len({frozenset({g_full.index(m),
-                            g_full.inverse[g_full.index(m)]}) for m in refl})
+    refl = sorted(g_full.index(m) for m in reflection_matrices())
+    orders = {g_full.element_order(i) for i in refl}
+    pairs = len({frozenset({i, g_full.inverse[i]}) for i in refl})
     anchor = reflection_of(Spinor2(THETA, Q_ZERO)) == generators()[1]
     generate = len(reflection_group()) == len(g_full)
-    return len(refl), sorted(orders), pairs, anchor, generate
+    fixed = Claim.of("the order-3 elements with a nonzero fixed space are"
+                     " exactly the 20 root reflections",
+                     refl, group_reflections(g_full))
+    return Claimed((len(refl), sorted(orders), pairs, anchor, generate),
+                   [fixed])
 
 
 @check("roots.tworefl", "non-reflections as two-reflection products",
@@ -305,9 +323,9 @@ def check_hyperspin_table():
 def check_algebra_dims():
     dim_refl, dim_group = spans.reflection_dims()
     dims = (dim_refl, *spans.neutrino_dims(), dim_group)
-    reports = (spans.neutrino_algebra_report() + spans.su2_u1_split_report()
-               + spans.reflection_algebra_report())
-    return dims, [c["name"] for c in reports if not c["pass"]]
+    claims = (spans.neutrino_algebra_report() + spans.su2_u1_split_report()
+              + spans.reflection_algebra_report())
+    return Claimed((dims, [c.name for c in claims if not c.ok]), claims)
 
 
 @check("orbits.order4", "diagonal conjugation orbits on order-4 sign-pairs",
@@ -316,8 +334,9 @@ def check_algebra_dims():
        " 3-orbits)",
        ("(3, 6, 6)", []), known_defect=True)
 def check_orbits_order4():
-    failing = [c["name"] for c in census.order4_claims() if not c["pass"]]
-    return str(census.order4_census().orbit_sizes), failing
+    claims = census.order4_claims()
+    failing = [c.name for c in claims if not c.ok]
+    return Claimed((str(census.order4_census().orbit_sizes), failing), claims)
 
 
 @check("orbits.q8", "quaternion subgroups and the product pairing",

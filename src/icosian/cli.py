@@ -79,9 +79,12 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _emit(args, data: dict, text: str) -> None:
+def _emit(args, data, text: str) -> None:
+    """Print data as JSON under --json, else text; objects that are not
+    JSON values serialise through their to_json()."""
     if args.json:
-        print(json.dumps(data, indent=2, ensure_ascii=False))
+        print(json.dumps(data, indent=2, ensure_ascii=False,
+                         default=lambda obj: obj.to_json()))
     else:
         print(text)
 
@@ -91,20 +94,16 @@ def cmd_verify(args) -> int:
     if not report.results:
         print(f"no checks match prefix {args.only!r}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, ensure_ascii=False))
-    else:
-        width = max(len(r.id) for r in report.results)
-        for r in report.results:
-            print(f"{r.status:4}  {r.id:{width}}  expected {r.expected}"
-                  f" | actual {r.actual}")
-        print(f"{report.passed} passed, {report.failed} failed")
+    width = max(len(r.id) for r in report.results)
+    lines = [f"{r.status:4}  {r.id:{width}}  expected {r.expected}"
+             f" | actual {r.actual}" for r in report.results]
+    lines.append(f"{report.passed} passed, {report.failed} failed")
+    _emit(args, report, "\n".join(lines))
     return 0 if report.ok else 1
 
 
 def cmd_table(args) -> int:
     ct = char_table()
-    data = ct.to_json()
     lines = []
     header = ["class order"] + [str(o) for o in ct.class_orders]
     lines.append("  ".join(f"{h:>10}" for h in header))
@@ -116,7 +115,7 @@ def cmd_table(args) -> int:
     for chi in ct.irreducibles:
         row = [chi.label] + [str(v) for v in chi.values]
         lines.append("  ".join(f"{c:>10}" for c in row))
-    _emit(args, data, "\n".join(lines))
+    _emit(args, ct, "\n".join(lines))
     return 0
 
 
@@ -195,10 +194,10 @@ def cmd_orbits(args) -> int:
     c5 = census.order5_census()
     totals = census.order_totals()
     data = {
-        "order4": c4.to_json(),
+        "order4": c4,
         "order4_claims": claims,
         "order4_structure": s,
-        "order3": c3.to_json(),
+        "order3": c3,
         "order5": c5,
         "order_totals": totals,
     }
@@ -206,8 +205,8 @@ def cmd_orbits(args) -> int:
     lines.append(f"order 4: {len(c4.items)} sign-pairs, orbit sizes"
                  f" {c4.orbit_sizes}")
     for claim in claims:
-        lines.append(f"  {'pass' if claim['pass'] else 'fail'}:"
-                     f" {claim['name']} -> {claim['actual']}")
+        lines.append(f"  {'pass' if claim.ok else 'fail'}:"
+                     f" {claim.name} -> {claim.actual}")
     lines.append(f"  quaternion subgroups: {s['q8_total']} total,"
                  f" {s['q8_normalized_by_g']} normalized by g")
     lines.append(f"  product matching of the remaining pairs:"
@@ -226,13 +225,13 @@ def cmd_algebra(args) -> int:
         "neutrino": spans.neutrino_algebra_report(),
         "su2_u1": spans.su2_u1_split_report(),
         "reflections": spans.reflection_algebra_report(),
-        "gauge": [b.to_json() for b in gauge_bookkeeping()],
+        "gauge": gauge_bookkeeping(),
     }
     lines = []
     for section in ("neutrino", "su2_u1", "reflections"):
         lines.append(section + ":")
         for c in reports[section]:
-            lines.append(f"  {'pass' if c['pass'] else 'fail'}: {c['name']}")
+            lines.append(f"  {'pass' if c.ok else 'fail'}: {c.name}")
     a, _ = gauge_bookkeeping()
     lines.append("gauge bookkeeping:")
     lines.append(f"  {a.total} -> {a.kept} kept, {a.lost} lost as"

@@ -26,15 +26,6 @@ class Spinor2:
     def __add__(self, other: "Spinor2") -> "Spinor2":
         return Spinor2(self.c1 + other.c1, self.c2 + other.c2)
 
-    def __sub__(self, other: "Spinor2") -> "Spinor2":
-        return Spinor2(self.c1 - other.c1, self.c2 - other.c2)
-
-    def __neg__(self) -> "Spinor2":
-        return Spinor2(-self.c1, -self.c2)
-
-    def to_json(self) -> list:
-        return [self.c1.to_json(), self.c2.to_json()]
-
     def __str__(self) -> str:
         return f"({self.c1}, {self.c2})"
 
@@ -108,13 +99,6 @@ class QMat2:
     def key(self) -> str:
         """Canonical serialization, usable as an indexing key."""
         return f"[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"
-
-    def to_json(self) -> list:
-        return [[self.m11.to_json(), self.m12.to_json()],
-                [self.m21.to_json(), self.m22.to_json()]]
-
-    def __str__(self) -> str:
-        return self.key()
 
 
 def flatten(m: QMat2) -> list[Gold]:

@@ -10,6 +10,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .goldnum import Gold, ZERO as G_ZERO, SIGMA, TAU, integer_pairs
 from .groupkit import FiniteGroup
@@ -59,9 +60,6 @@ class Quat:
     def norm2(self) -> Gold:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
-    def inverse(self) -> "Quat":
-        return self.conj() * self.norm2().inverse()
-
     def galois(self) -> "Quat":
         return Quat(self.w.galois(), self.x.galois(), self.y.galois(), self.z.galois())
 
@@ -81,9 +79,6 @@ class Quat:
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
         return out
-
-    def to_json(self) -> list:
-        return [c.to_json() for c in (self.w, self.x, self.y, self.z)]
 
 
 def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
@@ -135,7 +130,7 @@ THETA = OMEGA - OMEGA * OMEGA  # = i + j + k, squares to -3
 @cache
 def scalar_group() -> FiniteGroup[Quat]:
     """The group generated by omega and phi; must close at order 12."""
-    group = FiniteGroup.closure([OMEGA, PHI], lambda p, q: p * q, ONE, cap=100)
+    group = FiniteGroup.closure([OMEGA, PHI], mul, ONE, cap=100)
     if len(group) != 12:
         raise ValueError(f"scalar group closed at order {len(group)}, expected 12")
     return group

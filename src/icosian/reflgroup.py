@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .goldnum import Gold
 from .groupkit import FiniteGroup
@@ -120,14 +121,10 @@ def reflection_matrices() -> tuple[QMat2, ...]:
     return tuple(seen)
 
 
-def _mat_mul(a: QMat2, b: QMat2) -> QMat2:
-    return a * b
-
-
 @cache
 def build_o1() -> FiniteGroup[QMat2]:
     """The full group from the f, g, h generators; must close at order 120."""
-    return FiniteGroup.closure(list(generators()), _mat_mul, IDENTITY, cap=10_000)
+    return FiniteGroup.closure(list(generators()), mul, IDENTITY, cap=10_000)
 
 
 def word_index(letters: str) -> int:
@@ -217,7 +214,7 @@ def gamma_matrices() -> tuple[QMat2, QMat2, QMat2, QMat2]:
 @cache
 def gamma_group() -> FiniteGroup[QMat2]:
     """The finite group generated by the gammas; must close at order 32."""
-    return FiniteGroup.closure(list(gamma_matrices()), _mat_mul, IDENTITY, cap=1000)
+    return FiniteGroup.closure(list(gamma_matrices()), mul, IDENTITY, cap=1000)
 
 
 def gamma_reflections() -> tuple[list[QMat2], list[QMat2]]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from functools import cache
 
+from .claim import Claim
 from .goldnum import Gold
-from .linalg import Echelon
+from .linalg import Echelon, rank
 from .qmat2 import IDENTITY, QMat2, flatten
 from .quat import PHI, Quat, THETA, ZERO as Q_ZERO
 from .reflgroup import build_o1, generators, reflection_matrices
@@ -20,10 +21,7 @@ THIRD = Gold(1, 0, 3)
 
 
 def span_dim(mats: list[QMat2]) -> int:
-    ech = Echelon(16)
-    for m in mats:
-        ech.add(flatten(m))
-    return ech.dim
+    return rank([flatten(m) for m in mats])
 
 
 def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:
@@ -69,13 +67,8 @@ def is_galois_stable(mats: list[QMat2]) -> bool:
     return all(ech.contains(flatten(m.galois())) for m in mats)
 
 
-def _check(name: str, ok: bool, expected, actual) -> dict:
-    return {"name": name, "expected": str(expected), "actual": str(actual),
-            "pass": bool(ok)}
-
-
-def _eq_check(name: str, got: QMat2, want: QMat2) -> dict:
-    return _check(name, got == want, want.key(), got.key())
+def _eq_check(name: str, got: QMat2, want: QMat2) -> Claim:
+    return Claim(name, want.key(), got.key(), got == want)
 
 
 @cache
@@ -108,7 +101,7 @@ def neutrino_basis() -> tuple[QMat2, QMat2, QMat2, QMat2, QMat2, QMat2]:
     return e1, e2, t, y, a, b
 
 
-def neutrino_algebra_report() -> list[dict]:
+def neutrino_algebra_report() -> list[Claim]:
     """Certify the rank-3 commutative algebra and its rank-6 extension.
 
     The six displayed diagonal forms are checked exactly, along with the
@@ -140,13 +133,13 @@ def neutrino_algebra_report() -> list[dict]:
         # complex corner on e1: basis 1, phi
         _eq_check("corner y^2 = -e1", y * y, -e1),
         _eq_check("corners commute: y*a = 0", y * a, zero),
-        _check("dim of algebra <1,g,g^2>", dim3 == 3, 3, dim3),
-        _check("dim with h adjoined", dim6 == 6, 6, dim6),
+        Claim.of("dim of algebra <1,g,g^2>", 3, dim3),
+        Claim.of("dim with h adjoined", 6, dim6),
         # the rank-6 span is not galois-stable (phi's corner spans only
         # {1, phi}); its golden dimension still equals the real dimension
         # because golden scalars embed in the reals, so stability is not
         # asserted here
-        _check("galois-stable rank-3 span", stable, True, stable),
+        Claim.of("galois-stable rank-3 span", True, stable),
     ]
     return checks
 
@@ -155,7 +148,7 @@ def _commutator(a: QMat2, b: QMat2) -> QMat2:
     return a * b - b * a
 
 
-def su2_u1_split_report() -> list[dict]:
+def su2_u1_split_report() -> list[Claim]:
     """Certify the corner split of the rank-6 algebra into su(2)-like and
     u(1)-like parts.
 
@@ -184,13 +177,13 @@ def su2_u1_split_report() -> list[dict]:
     return checks
 
 
-def reflection_algebra_report() -> list[dict]:
+def reflection_algebra_report() -> list[Claim]:
     """The 20 reflections generate the full 16-dimensional matrix algebra;
     the 120 group elements span no more."""
     dim_refl, dim_group = reflection_dims()
     stable = is_galois_stable(list(reflection_matrices()))
     return [
-        _check("algebra generated by 20 reflections", dim_refl == 16, 16, dim_refl),
-        _check("span of all 120 group elements", dim_group == 16, 16, dim_group),
-        _check("galois-stable reflection span", stable, True, stable),
+        Claim.of("algebra generated by 20 reflections", 16, dim_refl),
+        Claim.of("span of all 120 group elements", 16, dim_group),
+        Claim.of("galois-stable reflection span", True, stable),
     ]

@@ -15,5 +15,3 @@ golds = st.builds(
 nonzero_golds = golds.filter(bool)
 
 quats = st.builds(Quat, golds, golds, golds, golds)
-
-nonzero_quats = quats.filter(lambda q: bool(q.norm2()))

@@ -56,7 +56,7 @@ def test_order4_actual_orbit_sizes():
 
 
 def test_order4_claims_record_the_defect():
-    claims = {c["name"]: c["pass"] for c in census.order4_claims()}
+    claims = {c.name: c.ok for c in census.order4_claims()}
     assert claims["15 sign-pairs of order-4 elements"]
     assert claims["family inside-subgroup is one orbit of 3"]
     assert claims["family photon-like is one orbit of 6"]

@@ -1,0 +1,43 @@
+from icosian import checks
+from icosian.checks import REGISTRY, Claimed, check
+from icosian.claim import Claim
+from icosian.reflgroup import build_o1
+
+
+def test_claim_to_json_is_the_report_dict():
+    d = Claim("e1 idempotent", "x", "y", False).to_json()
+    assert d == {"name": "e1 idempotent", "expected": "x", "actual": "y",
+                 "pass": False}
+    assert list(d) == ["name", "expected", "actual", "pass"]
+
+
+def test_claim_of_compares_values_and_keeps_their_text():
+    assert Claim.of("dim", 16, 16) == Claim("dim", "16", "16", True)
+    assert Claim.of("sizes", (3, 6, 6), (3, 3, 3, 6)).ok is False
+
+
+def test_check_passes_only_if_every_claim_holds(monkeypatch):
+    # a scratch registration list, so the real one is left untouched
+    monkeypatch.setattr(checks, "_registered", [])
+    holds, fails = Claim.of("holds", 1, 1), Claim.of("fails", 1, 2)
+    good = check("scratch.good", "d", "c", 7)(lambda: Claimed(7, [holds]))
+    bad = check("scratch.bad", "d", "c", 7)(lambda: Claimed(7, [holds, fails]))
+    assert good().status == "pass"
+    r = bad()
+    assert (r.expected, r.actual, r.status) == ("7", "7", "fail")
+    assert r.claims == (holds, fails)
+    assert r.to_json()["claims"] == [holds.to_json(), fails.to_json()]
+    assert not {good, bad} & set(REGISTRY)
+
+
+def test_fixed_space_claim_compares_the_elements(monkeypatch):
+    # the 20 elements of order 6 are as many as the reflections but others
+    G = build_o1()
+    order6 = [i for i in range(len(G)) if G.element_order(i) == 6]
+    assert len(order6) == 20
+    monkeypatch.setattr(checks, "group_reflections", lambda group: order6)
+    run = next(fn for fn in REGISTRY if fn.id == "roots.reflections")
+    r = run()
+    assert r.actual == r.expected
+    assert r.status == "fail"
+    assert [c.ok for c in r.claims] == [False]

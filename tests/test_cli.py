@@ -8,7 +8,9 @@ import pytest
 
 from icosian.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -50,6 +52,37 @@ def test_verify_json(capsys):
     assert data["ok"] is True
     ids = {r["id"] for r in data["results"]}
     assert ids == {"group.order", "group.relations"}
+
+
+@pytest.mark.parametrize("view", ["orbits", "algebra", "table", "roots --full"])
+def test_json_view_matches_golden(capsys, view):
+    code, out, _ = run(capsys, *view.split(), "--json")
+    assert code == 0
+    assert json.loads(out) == GOLDEN["views"][view]
+
+
+def test_verify_json_matches_golden(capsys):
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == 1
+    stable = [{k: r[k] for k in ("id", "status", "expected", "actual")}
+              for r in json.loads(out)["results"]]
+    assert stable == GOLDEN["verify"]
+
+
+def test_verify_json_claims(capsys):
+    _, out, _ = run(capsys, "verify", "--json")
+    claims = {r["id"]: r["claims"] for r in json.loads(out)["results"]}
+    assert len(claims["algebra.dims"]) == 37
+    assert all(c["pass"] for c in claims["algebra.dims"])
+    order4 = claims.pop("orbits.order4")
+    assert len(order4) == 5
+    assert [c["name"] for c in order4 if not c["pass"]] == [
+        "orbit sizes 3+6+6", "family paired-products is one orbit of 6"]
+    fixed = claims["roots.reflections"]
+    assert len(fixed) == 1 and fixed[0]["pass"]
+    assert "nonzero fixed space" in fixed[0]["name"]
+    del claims["algebra.dims"], claims["roots.reflections"]
+    assert all(c == [] for c in claims.values())
 
 
 def test_table_text(capsys):

@@ -180,12 +180,12 @@ def test_galois_stability():
 
 
 def test_neutrino_report_all_pass():
-    assert all(c["pass"] for c in neutrino_algebra_report())
+    assert all(c.ok for c in neutrino_algebra_report())
 
 
 def test_su2_u1_report_all_pass():
-    assert all(c["pass"] for c in su2_u1_split_report())
+    assert all(c.ok for c in su2_u1_split_report())
 
 
 def test_reflection_report_all_pass():
-    assert all(c["pass"] for c in reflection_algebra_report())
+    assert all(c.ok for c in reflection_algebra_report())
