@@ -114,6 +114,19 @@ def _family_claims(G, census: OrbitCensus, item_of) -> list[Claim]:
     return claims
 
 
+def _pair_census(kind: str, order: int, count: int, pair_of, listed) -> OrbitCensus:
+    """Diagonal conjugation orbits on the pairs pair_of(i) of the elements
+    of one order.  Each pair holds exactly two elements of that order, so
+    counting the pairs counts the elements too."""
+    G, h_idx, _ = _group_data()
+    items = sorted({pair_of(i) for i in range(len(G)) if G.element_order(i) == order},
+                   key=min)
+    if len(items) != count:
+        raise ValueError(f"{len(items)} {kind} items, expected {count}")
+    orbits = G.conjugation_orbits(h_idx, items)
+    return OrbitCensus(kind, tuple(items), tuple(orbits), listed)
+
+
 # -- order 4 ------------------------------------------------------------
 
 ORDER4_LISTED = {
@@ -131,16 +144,9 @@ def order4_census() -> OrbitCensus:
     words and the f^{hg...} words) that together exhaust the pairs outside
     the first two families.  order4_claims records which expectations hold.
     """
-    G, h_idx, minus = _group_data()
-    elems = [i for i in range(len(G)) if G.element_order(i) == 4]
-    if len(elems) != 30:
-        raise ValueError(f"{len(elems)} order-4 elements, expected 30")
-    items = sorted({_sign_pair(G, minus, i) for i in elems}, key=min)
-    if len(items) != 15:
-        raise ValueError("order-4 elements do not form 15 sign-pairs")
-    orbits = G.conjugation_orbits(h_idx, items)
-    return OrbitCensus("sign-pair-order4", tuple(items), tuple(orbits),
-                       ORDER4_LISTED)
+    G, _, minus = _group_data()
+    return _pair_census("sign-pair-order4", 4, 15, partial(_sign_pair, G, minus),
+                        ORDER4_LISTED)
 
 
 def order4_claims() -> list[Claim]:
@@ -249,19 +255,15 @@ ORDER3_LISTED = {
 def order3_census() -> OrbitCensus:
     """The 10 inverse-pairs of order-3 elements split 1+3+6, with the fixed
     pair {g, g^2} and the two listed families in the stated orbits."""
-    G, h_idx, _ = _group_data()
-    elems = [i for i in range(len(G)) if G.element_order(i) == 3]
-    if len(elems) != 20:
-        raise ValueError(f"{len(elems)} order-3 elements, expected 20")
-    items = sorted({frozenset({i, G.inverse[i]}) for i in elems}, key=min)
-    if len(items) != 10:
-        raise ValueError("order-3 elements do not form 10 inverse-pairs")
-    orbits = G.conjugation_orbits(h_idx, items)
-    census = OrbitCensus("inverse-pair-order3", tuple(items), tuple(orbits),
-                         ORDER3_LISTED)
+    G = build_o1()
+
+    def inverse_pair(i: int) -> frozenset[int]:
+        return frozenset({i, G.inverse[i]})
+
+    census = _pair_census("inverse-pair-order3", 3, 10, inverse_pair, ORDER3_LISTED)
     if census.orbit_sizes != (1, 3, 6):
         raise ValueError(f"order-3 orbit sizes {census.orbit_sizes}")
-    for c in _family_claims(G, census, lambda i: frozenset({i, G.inverse[i]})):
+    for c in _family_claims(G, census, inverse_pair):
         if not c.ok:
             raise ValueError(f"{c.name} fails: {c.actual}")
     # the listed inverses pair up: (fh)^-1 = hf since f^2 = h^2 = -1
@@ -286,7 +288,7 @@ def order5_census() -> dict:
     if len(elems) != 48:
         raise ValueError(f"{len(elems)} order-5/10 elements, expected 48")
     all_classes = {_sign_pair(G, minus, i) for i in elems}
-    groups = []
+    sets = []
     for w in ORDER5_GENERATORS:
         i = word_index(w)
         sub = G.subgroup_indices([i, minus])
@@ -295,15 +297,14 @@ def order5_census() -> dict:
         )
         if len(classes) != 4 or not classes <= all_classes:
             raise ValueError(f"generator {w} does not give 4 order-5 sign-classes")
-        groups.append((w, classes))
-    sets = [c for _, c in groups]
+        sets.append(classes)
     if len(set(sets)) != 6:
         raise ValueError("listed order-5 cyclic groups are not distinct")
     covered = frozenset().union(*sets)
     if covered != frozenset(all_classes):
         raise ValueError("order-5 cyclic groups do not cover all sign-classes")
     return {
-        "cyclic_groups": len(groups),
+        "cyclic_groups": len(sets),
         "sign_classes_each": 4,
         "sign_classes_total": len(all_classes),
         "generators": list(ORDER5_GENERATORS),

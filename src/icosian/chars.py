@@ -243,8 +243,6 @@ class GaugeBookkeeping:
         return tuple(sum(part) for part in self.lost_split_detail)
 
     def check(self) -> None:
-        if self.kept + self.lost != self.total:
-            raise ValueError("kept + lost != total")
         if sum(self.lost_split) != self.lost:
             raise ValueError("lost split does not sum to lost dimensions")
         if sorted(self.lost_split) != sorted(x for x in self.lost_per_factor if x):

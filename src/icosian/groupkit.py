@@ -133,15 +133,11 @@ class FiniteGroup(Generic[T]):
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
-        n = len(self.elements)
-        inv = [-1] * n
-        for i, row in enumerate(self.table):
-            for j, p in enumerate(row):
-                if p == 0:
-                    inv[i] = j
-        if -1 in inv:
-            raise ClosureError("element without inverse; not a group")
-        return tuple(inv)
+        """The inverse of i is where row i of the table meets the identity."""
+        try:
+            return tuple(row.index(0) for row in self.table)
+        except ValueError:
+            raise ClosureError("element without inverse; not a group") from None
 
     def conj_idx(self, x: int, y: int) -> int:
         """x^y := y^-1 x y."""
@@ -167,25 +163,20 @@ class FiniteGroup(Generic[T]):
 
     @cached_property
     def conjugacy(self) -> ConjugacyPartition:
+        """The conjugacy classes: the conjugation orbits of the single
+        elements under the whole group, which ``conjugation_orbits`` finds by
+        acting through a generating set only (its docstring gives the
+        argument).  Classes are ordered by element order, then size, then
+        smallest index."""
         n = len(self.elements)
-        class_of = [-1] * n
-        classes = []
-        for i in range(n):
-            if class_of[i] >= 0:
-                continue
-            cls_set = {self.conj_idx(i, y) for y in range(n)}
-            for j in cls_set:
-                class_of[j] = len(classes)
-            classes.append(frozenset(cls_set))
-        # deterministic ordering: by element order, then size, then first element
-        order = sorted(
-            range(len(classes)),
-            key=lambda c: (self.element_order(min(classes[c])), len(classes[c]), min(classes[c])),
-        )
-        remap = {old: new for new, old in enumerate(order)}
-        classes = tuple(classes[old] for old in order)
-        class_of = tuple(remap[c] for c in class_of)
-        return ConjugacyPartition(classes, class_of)
+        orbits = self.conjugation_orbits(range(n), [frozenset({i}) for i in range(n)])
+        classes = tuple(sorted(
+            orbits, key=lambda c: (self.element_order(min(c)), len(c), min(c))))
+        class_of = [0] * n
+        for k, cls in enumerate(classes):
+            for i in cls:
+                class_of[i] = k
+        return ConjugacyPartition(classes, tuple(class_of))
 
     # -- subgroups ------------------------------------------------------
 
@@ -220,22 +211,19 @@ class FiniteGroup(Generic[T]):
                 span = self.subgroup_indices(gens)
         return gens
 
-    def is_subgroup_set(self, indices: frozenset[int]) -> bool:
-        t = self.table
-        return 0 in indices and all(t[i][j] in indices for i in indices for j in indices)
-
     def is_maximal(self, sub: frozenset[int]) -> bool:
         """True iff sub is a proper subgroup that every extra element completes.
 
+        A set is a subgroup exactly when it equals the subgroup it generates.
         Each candidate closes ``generating_set(sub) + [x]``, which generates
         the same subgroup as sub with x adjoined.
         """
-        if not self.is_subgroup_set(sub):
+        gens = self.generating_set(sub)
+        if self.subgroup_indices(gens) != sub:
             raise ClosureError("not a subgroup of this group")
         n = len(self)
         if len(sub) == n:
             return False
-        gens = self.generating_set(sub)
         for x in range(n):
             if x in sub:
                 continue

@@ -84,9 +84,3 @@ def rank(vectors: list[list[Gold]]) -> int:
         ech.add(v)
     return ech.dim
 
-
-def nullity(vectors: list[list[Gold]]) -> int:
-    """Dimension of the solution space of the homogeneous system with these rows."""
-    if not vectors:
-        return 0
-    return len(vectors[0]) - rank(vectors)

@@ -137,16 +137,18 @@ def scalar_group() -> FiniteGroup[Quat]:
 
 
 def so3_image() -> tuple[int, bool]:
-    """Order of the scalar group mod {+-1} and whether the quotient is nonabelian."""
+    """Order of the scalar group mod {+-1} and whether the quotient is nonabelian.
+
+    Index work on the Cayley table: the sign class of i is {i, i*(-1)}, and
+    the quotient is nonabelian when some x*y is neither y*x nor -(y*x).
+    """
     group = scalar_group()
-    sign_class = {}
-    for i, q in enumerate(group.elements):
-        key = min(i, group.index(-q))
-        sign_class[i] = key
-    order = len(set(sign_class.values()))
+    t = group.table
+    minus = group.index(-ONE)
+    order = len({frozenset({i, t[i][minus]}) for i in range(len(group))})
     nonabelian = any(
-        x * y != y * x and x * y != -(y * x)
-        for x in group.elements
-        for y in group.elements
+        t[i][j] != t[j][i] and t[i][j] != t[t[j][i]][minus]
+        for i in range(len(group))
+        for j in range(len(group))
     )
     return order, nonabelian

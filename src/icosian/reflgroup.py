@@ -15,7 +15,7 @@ from operator import mul
 
 from .goldnum import Gold
 from .groupkit import FiniteGroup
-from .linalg import nullity
+from .linalg import rank
 from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
@@ -25,11 +25,10 @@ LETTERS = "fgh"  # the generators, in closure order
 
 @dataclass(frozen=True)
 class Root:
-    """A norm-3 spinor, tagged by base-spinor class and scalar multiple."""
+    """A norm-3 spinor, tagged by its base-spinor class."""
 
     spinor: Spinor2
-    class_index: int   # which of the 10 base spinors
-    scalar_index: int  # which of the 12 scalar multiples
+    class_index: int  # which of the 10 base spinors
 
 
 @cache
@@ -89,14 +88,14 @@ def roots() -> tuple[Root, ...]:
     out = []
     seen = set()
     for ci, base in enumerate(base_spinors()):
-        for si, s in enumerate(scalars):
+        for s in scalars:
             sp = base.scale(s)
             if spinor_norm2(sp) != Quat.of(3):
                 raise ValueError(f"root {sp} has squared norm != 3")
             if sp in seen:
                 raise ValueError("duplicate root; scalar/spinor convention error")
             seen.add(sp)
-            out.append(Root(sp, ci, si))
+            out.append(Root(sp, ci))
     return tuple(out)
 
 
@@ -162,7 +161,8 @@ def _left_mul_matrix(q: Quat) -> list[list[Gold]]:
 
 
 def fixed_space_dim(m: QMat2) -> int:
-    """Golden-field dimension of {x : m x = x}, via an 8x8 exact nullspace."""
+    """Golden-field dimension of {x : m x = x}: 8 minus the rank of the 8x8
+    exact system of m - 1."""
     d = m - IDENTITY
     blocks = [
         (_left_mul_matrix(d.m11), _left_mul_matrix(d.m12)),
@@ -172,7 +172,7 @@ def fixed_space_dim(m: QMat2) -> int:
     for left, right in blocks:
         for rl, rr in zip(left, right):
             rows.append(rl + rr)
-    return nullity(rows)
+    return 8 - rank(rows)
 
 
 def group_reflections(group: FiniteGroup[QMat2]) -> list[int]:
@@ -221,11 +221,7 @@ def gamma_reflections() -> tuple[list[QMat2], list[QMat2]]:
     """(census, expected): non-central involutions vs the ten listed products."""
     group = gamma_group()
     t = group.table
-    central = [
-        i
-        for i in range(len(group))
-        if all(t[i][j] == t[j][i] for j in range(len(group)))
-    ]
+    central = {i for cls in group.conjugacy.classes if len(cls) == 1 for i in cls}
     census = [
         group.elements[i]
         for i in range(len(group))

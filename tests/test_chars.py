@@ -148,6 +148,17 @@ def test_decompose_rejects_non_character():
         table.decompose(bogus)
 
 
+def test_decompose_rejects_a_failed_reconstruction(monkeypatch):
+    # with 5 listed twice and 6 missing, every multiplicity of 6 is a
+    # non-negative integer (all 0), and only the reconstruction catches it
+    table = ct()
+    irr = tuple(table.by_label["5"] if chi.label == "6" else chi
+                for chi in table.irreducibles)
+    monkeypatch.setattr(table, "irreducibles", irr)
+    with pytest.raises(ValueError, match="reconstruct"):
+        table.decompose(table.by_label["6"])
+
+
 def test_hyperspin_rows():
     table = ct()
     rows = [format_decomposition(m) for _, m in table.hyperspin_table(7)]

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from icosian.groupkit import ClosureError, FiniteGroup
+from icosian.groupkit import ClosureError, ConjugacyPartition, FiniteGroup
 from icosian.qmat2 import IDENTITY
+from icosian.quat import scalar_group
 from icosian.reflgroup import (
     build_o1, diagonal_subgroup, gamma_group, generators, reflection_group,
 )
@@ -114,10 +115,11 @@ def test_is_maximal():
 
 def test_is_maximal_rejects_non_subgroup():
     g = s3()
-    non_subgroup = frozenset({1, 2})  # misses the identity
-    assert not g.is_subgroup_set(non_subgroup)
-    with pytest.raises(ClosureError):
-        g.is_maximal(non_subgroup)
+    rot = next(i for i in range(len(g)) if g.element_order(i) == 3)
+    for non_subgroup in (frozenset({1, 2}),     # misses the identity
+                         frozenset({0, rot})):  # misses rot^2
+        with pytest.raises(ClosureError):
+            g.is_maximal(non_subgroup)
 
 
 def test_conjugation_orbits_well_defined():
@@ -323,3 +325,54 @@ def test_is_maximal_closes_few_generators(monkeypatch):
     monkeypatch.setattr(g, "subgroup_indices", guarded)
     assert g.is_maximal(diagonal_subgroup())
     assert sizes and max(sizes) <= 5
+
+
+# conjugacy classes are conjugation orbits and inverses are read off the
+# table; the all-conjugators classes and the n^2 table scan they replaced are
+# the references here
+
+def reference_conjugacy(g):
+    """Every element conjugated by every element of the group."""
+    n = len(g)
+    class_of = [-1] * n
+    classes = []
+    for i in range(n):
+        if class_of[i] >= 0:
+            continue
+        cls = frozenset(g.conj_idx(i, y) for y in range(n))
+        for j in cls:
+            class_of[j] = len(classes)
+        classes.append(cls)
+    order = sorted(range(len(classes)), key=lambda c: (
+        g.element_order(min(classes[c])), len(classes[c]), min(classes[c])))
+    remap = {old: new for new, old in enumerate(order)}
+    return ConjugacyPartition(tuple(classes[old] for old in order),
+                              tuple(remap[c] for c in class_of))
+
+
+def reference_inverse(g):
+    inv = [-1] * len(g)
+    for i, row in enumerate(g.table):
+        for j, p in enumerate(row):
+            if p == 0:
+                inv[i] = j
+    return tuple(inv)
+
+
+def small_groups():
+    return [build_o1(), gamma_group(), scalar_group(), s3()]
+
+
+def test_conjugacy_matches_all_conjugators_reference():
+    for g in small_groups():
+        assert g.conjugacy == reference_conjugacy(g)
+
+
+def test_inverse_matches_table_scan_reference():
+    for g in small_groups():
+        assert g.inverse == reference_inverse(g)
+    g = s3()
+    g.table = [row[:] for row in g.table]  # shadows the cached table
+    g.table[1][g.table[1].index(0)] = 1
+    with pytest.raises(ClosureError):
+        g.inverse

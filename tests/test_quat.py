@@ -1,7 +1,11 @@
+from operator import mul
+
 import pytest
 from hypothesis import example, given
 
+from icosian import quat
 from icosian.goldnum import Gold
+from icosian.groupkit import FiniteGroup
 from icosian.qmat2 import QMat2
 from icosian.quat import (
     I, J, K, OMEGA, ONE, PHI, Quat, THETA, ZERO,
@@ -71,6 +75,32 @@ def test_so3_image():
     order, nonabelian = so3_image()
     assert order == 6
     assert nonabelian
+
+
+def reference_so3_image(group):
+    """Sign classes and the commutator test by quaternion products."""
+    els = group.elements
+    classes = {frozenset({i, group.index(-q)}) for i, q in enumerate(els)}
+    nonabelian = any(x * y != y * x and x * y != -(y * x) for x in els for y in els)
+    return len(classes), nonabelian
+
+
+def test_so3_image_index_work_matches_quaternion_products(monkeypatch):
+    group = scalar_group()
+    assert so3_image() == reference_so3_image(group)
+    t, minus = group.table, group.index(-ONE)
+    for i, x in enumerate(group.elements):
+        assert t[i][minus] == group.index(-x)
+        for j, y in enumerate(group.elements):
+            assert (t[i][j] not in (t[j][i], t[t[j][i]][minus])) == \
+                (x * y != y * x and x * y != -(y * x))
+    # the quaternion group <i, j> mod sign is the Klein four-group: there
+    # every pair commutes only up to sign, so the sign alternative decides
+    assert reference_so3_image(FiniteGroup.closure([I, J], mul, ONE)) == (4, False)
+    for gens in ([I, J], [OMEGA, -ONE], [I, OMEGA, PHI]):
+        other = FiniteGroup.closure(gens, mul, ONE)
+        monkeypatch.setattr(quat, "scalar_group", lambda: other)
+        assert so3_image() == reference_so3_image(other)
 
 
 def test_omega_phi_do_not_commute():

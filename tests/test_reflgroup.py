@@ -157,3 +157,13 @@ def test_gamma_reflections_are_the_ten_listed():
     assert len(found) == 10
     assert set(found) == set(listed)
     assert all(m * m == IDENTITY for m in found)
+
+
+def test_gamma_centre_is_its_size_one_classes():
+    # the centre gamma_reflections reads off the classes, against the
+    # elements that commute with every element
+    group = gamma_group()
+    t, n = group.table, len(group)
+    commuting = {i for i in range(n) if all(t[i][j] == t[j][i] for j in range(n))}
+    assert commuting == {i for cls in group.conjugacy.classes if len(cls) == 1 for i in cls}
+    assert commuting == {0, group.index(MINUS_IDENTITY)}
