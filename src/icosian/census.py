@@ -8,14 +8,14 @@ exponent convention throughout is x^y = y^-1 x y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 from .claim import Claim
 from .groupkit import FiniteGroup
-from .qmat2 import MINUS_IDENTITY, QMat2
+from .qmat2 import MINUS_IDENTITY, QMat2, Spinor2
 from .quat import ZERO as Q_ZERO, scalar_group, so3_image
-from .reflgroup import Root, build_o1, diagonal_subgroup, roots, word_index
+from .reflgroup import build_o1, diagonal_subgroup, roots, word_index
 
 ROOT_LABELS = ("neutrino-like",) + ("electron-like",) * 3 + ("quark-like",) * 6
 
@@ -27,7 +27,7 @@ class RootClass:
 
     base_index: int
     label: str
-    members: tuple[Root, ...]
+    members: tuple[Spinor2, ...]
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,11 @@ class OrbitCensus:
 def root_census() -> tuple[RootClass, ...]:
     """The 120 roots as 10 classes of 12; class 0 is the one with vanishing
     second component (its reflection acts on the first coordinate only)."""
-    buckets: dict[int, list[Root]] = {}
-    for r in roots():
-        buckets.setdefault(r.class_index, []).append(r)
-    if sorted(buckets) != list(range(10)) or any(len(v) != 12 for v in buckets.values()):
-        raise ValueError("roots do not form 10 classes of 12")
-    if any(r.spinor.c2 != Q_ZERO for r in buckets[0]):
+    classes = roots()
+    if any(r.c2 != Q_ZERO for r in classes[0]):
         raise ValueError("class 0 has a member with nonzero second component")
-    return tuple(
-        RootClass(i, ROOT_LABELS[i], tuple(buckets[i])) for i in range(10)
-    )
+    return tuple(RootClass(i, ROOT_LABELS[i], members)
+                 for i, members in enumerate(classes))
 
 
 def root_bookkeeping() -> dict:
@@ -136,6 +131,7 @@ ORDER4_LISTED = {
 }
 
 
+@cache
 def order4_census() -> OrbitCensus:
     """Diagonal conjugation orbits on the 15 sign-pairs of order-4 elements.
 
@@ -310,11 +306,3 @@ def order5_census() -> dict:
         "generators": list(ORDER5_GENERATORS),
         "covered": True,
     }
-
-
-def order_totals() -> dict[int, int]:
-    """Element counts by order; must sum to 120 over {1,2,3,4,5,6,10}."""
-    hist = build_o1().order_histogram()
-    if sum(hist.values()) != 120:
-        raise ValueError("order histogram does not sum to 120")
-    return hist

@@ -156,13 +156,12 @@ class CharTable:
         return mults
 
     def fs_indicator(self, chi: CharVector) -> int:
-        """Frobenius-Schur indicator (1/|G|) sum chi(x^2)."""
+        """Frobenius-Schur indicator (1/|G|) sum chi(x^2): the inner product
+        of the class function x -> chi(x^2) with the trivial character."""
         table = self.group.table
         class_of = self.partition.class_of
-        total = G_ZERO
-        for i in range(len(self.group)):
-            total = total + chi.values[class_of[table[i][i]]]
-        ind = total / Gold(len(self.group))
+        squares = self.class_function(lambda i: chi.values[class_of[table[i][i]]])
+        ind = self.inner(squares, self.by_label["1"])
         if not ind.is_integer or abs(ind.na) > 1:
             raise ValueError(f"indicator {ind} outside {{-1, 0, 1}}")
         return ind.na

@@ -8,7 +8,7 @@ import sys
 from . import census, coincidence, spans
 from .chars import char_table, format_decomposition, gauge_bookkeeping
 from .checks import run_checks
-from .reflgroup import word_string
+from .reflgroup import build_o1, word_string
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -164,8 +164,8 @@ def cmd_roots(args) -> int:
             {
                 "base_index": c.base_index,
                 "label": c.label,
-                "base_spinor": str(c.members[0].spinor),
-                "members": [str(r.spinor) for r in c.members]
+                "base_spinor": str(c.members[0]),
+                "members": [str(r) for r in c.members]
                 if args.full else len(c.members),
             }
             for c in classes
@@ -178,10 +178,10 @@ def cmd_roots(args) -> int:
              f" (nonabelian: {book['so3_image_nonabelian']})", ""]
     for c in classes:
         lines.append(f"class {c.base_index} ({c.label}): base"
-                     f" {c.members[0].spinor}")
+                     f" {c.members[0]}")
         if args.full:
             for r in c.members:
-                lines.append(f"    {r.spinor}")
+                lines.append(f"    {r}")
     _emit(args, data, "\n".join(lines))
     return 0
 
@@ -192,7 +192,7 @@ def cmd_orbits(args) -> int:
     s = census.order4_structure()
     c3 = census.order3_census()
     c5 = census.order5_census()
-    totals = census.order_totals()
+    totals = build_o1().order_histogram()
     data = {
         "order4": c4,
         "order4_claims": claims,
@@ -232,7 +232,7 @@ def cmd_algebra(args) -> int:
         lines.append(section + ":")
         for c in reports[section]:
             lines.append(f"  {'pass' if c.ok else 'fail'}: {c.name}")
-    a, _ = gauge_bookkeeping()
+    a, _ = reports["gauge"]
     lines.append("gauge bookkeeping:")
     lines.append(f"  {a.total} -> {a.kept} kept, {a.lost} lost as"
                  f" {' + '.join(str(x) for x in a.lost_split)}")

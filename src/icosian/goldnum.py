@@ -203,7 +203,5 @@ def _fmt_rat(r: Fraction) -> str:
 
 ZERO = Gold(0)
 ONE = Gold(1)
-SQRT5 = Gold(0, 1)
-HALF = Gold(1, 0, 2)
 TAU = Gold(1, 1, 2)     # (1 + sqrt5)/2
 SIGMA = Gold(1, -1, 2)  # (1 - sqrt5)/2

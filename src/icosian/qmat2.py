@@ -23,9 +23,6 @@ class Spinor2:
         """Right scalar multiplication."""
         return Spinor2(self.c1 * s, self.c2 * s)
 
-    def __add__(self, other: "Spinor2") -> "Spinor2":
-        return Spinor2(self.c1 + other.c1, self.c2 + other.c2)
-
     def __str__(self) -> str:
         return f"({self.c1}, {self.c2})"
 

@@ -48,12 +48,6 @@ class Quat:
             return Quat(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # scalars in Gold are central, so left and right coincide here
-        if isinstance(other, (Gold, int, Fraction)):
-            return self * other
-        return NotImplemented
-
     def conj(self) -> "Quat":
         return Quat(self.w, -self.x, -self.y, -self.z)
 

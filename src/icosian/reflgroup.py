@@ -8,7 +8,6 @@ signature-(1,3) Clifford algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -21,14 +20,6 @@ from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO
 
 THIRD = Gold.of(Fraction(1, 3))
 LETTERS = "fgh"  # the generators, in closure order
-
-
-@dataclass(frozen=True)
-class Root:
-    """A norm-3 spinor, tagged by its base-spinor class."""
-
-    spinor: Spinor2
-    class_index: int  # which of the 10 base spinors
 
 
 @cache
@@ -82,21 +73,18 @@ def base_spinors() -> tuple[Spinor2, ...]:
 
 
 @cache
-def roots() -> tuple[Root, ...]:
-    """All 120 roots: base spinors times the 12 scalars, right-multiplied."""
+def roots() -> tuple[tuple[Spinor2, ...], ...]:
+    """All 120 roots as 10 classes of 12: class k is base spinor k times the
+    12 scalars, right-multiplied, in scalar-group order."""
     scalars = scalar_group().elements
-    out = []
-    seen = set()
-    for ci, base in enumerate(base_spinors()):
-        for s in scalars:
-            sp = base.scale(s)
-            if spinor_norm2(sp) != Quat.of(3):
-                raise ValueError(f"root {sp} has squared norm != 3")
-            if sp in seen:
-                raise ValueError("duplicate root; scalar/spinor convention error")
-            seen.add(sp)
-            out.append(Root(sp, ci))
-    return tuple(out)
+    classes = tuple(tuple(base.scale(s) for s in scalars) for base in base_spinors())
+    flat = [sp for cls in classes for sp in cls]
+    for sp in flat:
+        if spinor_norm2(sp) != Quat.of(3):
+            raise ValueError(f"root {sp} has squared norm != 3")
+    if len(set(flat)) != len(flat):
+        raise ValueError("duplicate root; scalar/spinor convention error")
+    return classes
 
 
 def reflection_of(r: Spinor2) -> QMat2:
@@ -114,10 +102,7 @@ def reflection_of(r: Spinor2) -> QMat2:
 @cache
 def reflection_matrices() -> tuple[QMat2, ...]:
     """The 20 distinct reflections of the 120 roots, in first-seen order."""
-    seen: dict[QMat2, None] = {}
-    for r in roots():
-        seen.setdefault(reflection_of(r.spinor))
-    return tuple(seen)
+    return tuple(dict.fromkeys(reflection_of(r) for cls in roots() for r in cls))
 
 
 @cache

@@ -15,9 +15,7 @@ from .goldnum import Gold
 from .linalg import Echelon, rank
 from .qmat2 import IDENTITY, QMat2, flatten
 from .quat import PHI, Quat, THETA, ZERO as Q_ZERO
-from .reflgroup import build_o1, generators, reflection_matrices
-
-THIRD = Gold(1, 0, 3)
+from .reflgroup import THIRD, build_o1, generators, reflection_matrices
 
 
 def span_dim(mats: list[QMat2]) -> int:
@@ -87,6 +85,7 @@ def reflection_dims() -> tuple[int, int]:
             span_dim(list(build_o1().elements)))
 
 
+@cache
 def neutrino_basis() -> tuple[QMat2, QMat2, QMat2, QMat2, QMat2, QMat2]:
     """(e1, e2, t, y, a, b): the six displayed combinations of 1, g, h."""
     _, g, h = generators()

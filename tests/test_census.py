@@ -1,4 +1,5 @@
 from icosian import census
+from icosian.checks import run_checks
 from icosian.qmat2 import QMat2
 from icosian.quat import ZERO as Q_ZERO
 from icosian.reflgroup import (
@@ -23,7 +24,7 @@ def test_neutrino_class_has_zero_second_component():
     classes = census.root_census()
     nu = classes[0]
     assert nu.label == "neutrino-like"
-    assert all(r.spinor.c2 == Q_ZERO for r in nu.members)
+    assert all(r.c2 == Q_ZERO for r in nu.members)
 
 
 def test_root_bookkeeping():
@@ -35,12 +36,6 @@ def test_root_bookkeeping():
     assert b["scalar_group_order"] == 12
     assert b["so3_image_order"] == 6
     assert b["so3_image_nonabelian"] is True
-
-
-def test_order_totals():
-    assert census.order_totals() == {
-        1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24,
-    }
 
 
 def test_order4_census_pairs():
@@ -110,7 +105,24 @@ def test_index_work_makes_no_matrix_products(monkeypatch):
     monkeypatch.setattr(QMat2, "__mul__", counting_mul)
     diagonal_subgroup.cache_clear()
     reflection_group.cache_clear()
+    census.order4_census.cache_clear()
     diagonal_subgroup(), reflection_group(), word_index("fghfgh")
     census.order4_claims(), census.order4_structure()
     census.order3_census(), census.order5_census()
     assert calls == 0
+
+
+def test_orbit_checks_build_each_pair_census_once(monkeypatch):
+    # the order-4 census is cached, so orbits.order4 and orbits.q8 share it
+    calls = 0
+    pair_census = census._pair_census
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return pair_census(*args)
+
+    monkeypatch.setattr(census, "_pair_census", counting)
+    census.order4_census.cache_clear()
+    run_checks("orbits")
+    assert calls == 2

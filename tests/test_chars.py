@@ -103,6 +103,20 @@ def test_fs_indicators():
             for chi in table.irreducibles} == expected
 
 
+def reference_fs_indicator(table, chi):
+    """(1/|G|) sum chi(x^2) as a sum of Gold values: fs_indicator's reference."""
+    total = Gold(0)
+    for i in range(len(table.group)):
+        total = total + chi.values[table.partition.class_of[table.group.table[i][i]]]
+    return total / Gold(len(table.group))
+
+
+def test_fs_indicator_matches_gold_sum():
+    table = ct()
+    for chi in table.irreducibles:
+        assert Gold(table.fs_indicator(chi)) == reference_fs_indicator(table, chi)
+
+
 def test_galois_label_action():
     table = ct()
     swaps = {"2a": "2b", "2b": "2a", "3a": "3b", "3b": "3a"}

@@ -1,6 +1,7 @@
-from icosian import checks
+from icosian import checks, reflgroup
 from icosian.checks import REGISTRY, Claimed, check
 from icosian.claim import Claim
+from icosian.quat import Quat
 from icosian.reflgroup import build_o1
 
 
@@ -41,3 +42,16 @@ def test_fixed_space_claim_compares_the_elements(monkeypatch):
     assert r.actual == r.expected
     assert r.status == "fail"
     assert [c.ok for c in r.claims] == [False]
+
+
+def test_roots_norm_fails_on_a_bad_root(monkeypatch):
+    # roots.norm reads the checked layer: roots() raises on a wrong norm
+    monkeypatch.setattr(reflgroup, "spinor_norm2", lambda r: Quat.of(2))
+    reflgroup.roots.cache_clear()
+    try:
+        run = next(fn for fn in REGISTRY if fn.id == "roots.norm")
+        r = run()
+    finally:
+        reflgroup.roots.cache_clear()
+    assert r.status == "fail"
+    assert "squared norm" in r.actual

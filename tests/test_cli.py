@@ -54,7 +54,8 @@ def test_verify_json(capsys):
     assert ids == {"group.order", "group.relations"}
 
 
-@pytest.mark.parametrize("view", ["orbits", "algebra", "table", "roots --full"])
+@pytest.mark.parametrize("view", ["orbits", "algebra", "table", "roots --full",
+                                  "coincidence"])
 def test_json_view_matches_golden(capsys, view):
     code, out, _ = run(capsys, *view.split(), "--json")
     assert code == 0
@@ -103,6 +104,13 @@ def test_branch(capsys):
     code, out, _ = run(capsys, "branch")
     assert code == 0
     assert "spin  7/2: 2b+6" in out
+
+
+def test_branch_json_matches_golden(capsys):
+    code, out, _ = run(capsys, "branch", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["decomposition"] for r in rows] == GOLDEN["hyperspin_rows"]
 
 
 def test_branch_rejects_negative_max_two_j(capsys):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from icosian.goldnum import Gold, HALF, ONE, SIGMA, SQRT5, TAU, ZERO
+from icosian.goldnum import Gold, ONE, SIGMA, TAU, ZERO
 from conftest import golds, nonzero_golds
+
+SQRT5 = Gold(0, 1)
+HALF = Gold(1, 0, 2)
 
 
 def test_canonical_form():

@@ -1,10 +1,11 @@
 """Code that nothing uses is deleted, not kept alive by its own unit tests.
 
 Scans the syntax tree of every module of the package: each function or
-method defined there must be named somewhere else in the package (as a name
-or an attribute), or in the benchmark scripts under perfbench/.  Dunder
-methods, @check bodies (the registry calls them) and the test oracle
-Quat.norm2 are exempt.  The match is by name only, so a dead method that
+method defined there, and each name bound at a module's top level, must be
+named somewhere else in the package (as a name read, an attribute or an
+import), or in the benchmark scripts under perfbench/.  Dunder methods,
+@check bodies (the registry calls them), the test oracle Quat.norm2 and
+__version__ are exempt.  The match is by name only, so a dead method that
 shares its name with a live one slips through.
 """
 import ast
@@ -12,17 +13,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "icosian"
-EXEMPT = {"norm2"}  # Quat.norm2: the tests' norm oracle
+EXEMPT = {"norm2", "__version__"}  # Quat.norm2: the tests' norm oracle; package metadata
 
 
 def named(trees) -> set[str]:
     out = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
     return out
 
 
@@ -43,13 +46,31 @@ def unused_functions(package: dict[str, ast.AST], outside: set[str]) -> list[str
         and node.name not in EXEMPT | used)
 
 
+def unused_constants(package: dict[str, ast.AST], outside: set[str]) -> list[str]:
+    used = named(package.values()) | outside
+    return sorted(
+        f"{module}: {node.id}"
+        for module, tree in package.items()
+        for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and node.id not in EXEMPT | used)
+
+
 def parse(paths) -> dict[str, ast.AST]:
     return {p.name: ast.parse(p.read_text(), str(p)) for p in paths}
 
 
+def perfbench_names() -> set[str]:
+    return named(parse(sorted((ROOT / "perfbench").glob("*.py"))).values())
+
+
 def test_every_function_is_used():
-    perfbench = named(parse(sorted((ROOT / "perfbench").glob("*.py"))).values())
-    assert unused_functions(parse(sorted(PACKAGE.glob("*.py"))), perfbench) == []
+    assert unused_functions(parse(sorted(PACKAGE.glob("*.py"))), perfbench_names()) == []
+
+
+def test_every_module_constant_is_used():
+    assert unused_constants(parse(sorted(PACKAGE.glob("*.py"))), perfbench_names()) == []
 
 
 def test_scanner_flags_an_unused_method():
@@ -64,3 +85,15 @@ def test_scanner_flags_an_unused_method():
            "def check_a(): return 0\n")
     assert unused_functions({"m.py": ast.parse(src)}, {"is_maximal"}) == \
         ["m.py: is_subgroup_set"]
+
+
+def test_scanner_flags_an_unused_constant():
+    src = ("from .goldnum import ONE as G_ONE\n"
+           "__version__ = '0'\n"
+           "HALF = 1\n"
+           "SQRT5 = 2\n"
+           "TAU, SIGMA = 3, 4\n"
+           "LABELS: tuple = ('1',)\n"
+           "def f(): return SQRT5 + TAU + LABELS\n")
+    assert unused_constants({"m.py": ast.parse(src)}, {"f"}) == \
+        ["m.py: HALF", "m.py: SIGMA"]

@@ -1,7 +1,8 @@
 from icosian.groupkit import FiniteGroup
 from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, Spinor2, spinor_norm2
-from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO
+from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 from icosian.reflgroup import (
+    base_spinors,
     build_o1,
     diagonal_subgroup,
     fixed_space_dim,
@@ -68,18 +69,24 @@ def test_conjugacy_class_sizes():
 
 
 def test_roots_count_and_norm():
-    rs = roots()
+    rs = [r for cls in roots() for r in cls]
     assert len(rs) == 120
-    assert len({r.spinor for r in rs}) == 120
-    assert all(spinor_norm2(r.spinor) == Quat.of(3) for r in rs)
+    assert len(set(rs)) == 120
+    assert all(spinor_norm2(r) == Quat.of(3) for r in rs)
+
+
+def test_root_classes_are_base_spinors_times_scalars():
+    for base, cls in zip(base_spinors(), roots(), strict=True):
+        assert list(cls) == [base.scale(s) for s in scalar_group().elements]
 
 
 def test_twenty_reflections_six_to_one():
     refl = reflection_matrices()
     assert len(refl) == 20
     by_matrix = {}
-    for r in roots():
-        by_matrix.setdefault(reflection_of(r.spinor), []).append(r)
+    for cls in roots():
+        for r in cls:
+            by_matrix.setdefault(reflection_of(r), []).append(r)
     assert len(by_matrix) == 20
     assert all(len(v) == 6 for v in by_matrix.values())
 
