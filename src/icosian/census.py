@@ -7,13 +7,13 @@ exponent convention throughout is x^y = y^-1 x y.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 
 from .claim import Claim
 from .groupkit import FiniteGroup
-from .qmat2 import MINUS_IDENTITY, QMat2, Spinor2
+from .qmat2 import MINUS_IDENTITY, QMat2
 from .quat import ZERO as Q_ZERO, scalar_group, so3_image
 from .reflgroup import build_o1, diagonal_subgroup, roots, word_index
 
@@ -21,21 +21,11 @@ ROOT_LABELS = ("neutrino-like",) + ("electron-like",) * 3 + ("quark-like",) * 6
 
 
 @dataclass(frozen=True)
-class RootClass:
-    """One of the 10 scalar-multiple classes of roots; the label is display
-    metadata only."""
-
-    base_index: int
-    label: str
-    members: tuple[Spinor2, ...]
-
-
-@dataclass(frozen=True)
 class OrbitCensus:
     item_kind: str
     items: tuple[frozenset[int], ...]
     orbits: tuple[frozenset[int], ...]  # sets of item positions
-    listed: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    listed: dict[str, tuple[str, ...]]
 
     @property
     def orbit_sizes(self) -> tuple[int, ...]:
@@ -50,21 +40,16 @@ class OrbitCensus:
         }
 
 
-def root_census() -> tuple[RootClass, ...]:
-    """The 120 roots as 10 classes of 12; class 0 is the one with vanishing
-    second component (its reflection acts on the first coordinate only)."""
+def root_bookkeeping() -> dict:
+    """The 120 roots as 10 labelled classes of 12; class 0 is the one with
+    vanishing second component (its reflection acts on the first coordinate
+    only)."""
     classes = roots()
     if any(r.c2 != Q_ZERO for r in classes[0]):
         raise ValueError("class 0 has a member with nonzero second component")
-    return tuple(RootClass(i, ROOT_LABELS[i], members)
-                 for i, members in enumerate(classes))
-
-
-def root_bookkeeping() -> dict:
-    classes = root_census()
     by_label: dict[str, int] = {}
-    for c in classes:
-        by_label[c.label] = by_label.get(c.label, 0) + len(c.members)
+    for label, members in zip(ROOT_LABELS, classes):
+        by_label[label] = by_label.get(label, 0) + len(members)
     so3_order, so3_nonabelian = so3_image()
     return {
         "classes": len(classes),
@@ -216,27 +201,18 @@ def order4_structure() -> dict:
 
 
 def _product_matching(G, h_idx, pairs: list[frozenset[int]]):
-    """Perfect matching of sign-pairs whose representative products lie in
-    the subgroup, found by backtracking; None if there is none."""
-
-    def good(p: frozenset[int], q: frozenset[int]) -> bool:
-        # products of the four representative choices differ only by sign,
-        # and the subgroup contains -identity, so one test per order suffices
-        x, y = min(p), min(q)
-        return G.table[x][y] in h_idx or G.table[y][x] in h_idx
-
-    def solve(remaining: list[int]) -> list[tuple[int, int]] | None:
-        if not remaining:
-            return []
-        a = remaining[0]
-        for b in remaining[1:]:
-            if good(pairs[a], pairs[b]):
-                rest = solve([r for r in remaining[1:] if r != b])
-                if rest is not None:
-                    return [(a, b)] + rest
-        return None
-
-    return solve(list(range(len(pairs))))
+    """The couples of sign-pairs whose representative products lie in the
+    subgroup, if they pair off every sign-pair exactly once; None otherwise."""
+    # products of the four representative choices differ only by sign, and
+    # the subgroup contains -identity, so one test per order suffices
+    t = G.table
+    couples = [
+        (a, b) for a, b in combinations(range(len(pairs)), 2)
+        if t[min(pairs[a])][min(pairs[b])] in h_idx
+        or t[min(pairs[b])][min(pairs[a])] in h_idx
+    ]
+    matched = sorted(i for couple in couples for i in couple)
+    return couples if matched == list(range(len(pairs))) else None
 
 
 # -- order 3 ------------------------------------------------------------

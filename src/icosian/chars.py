@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .goldnum import Gold, ONE as G_ONE, ZERO as G_ZERO, integer_pairs
+from .goldnum import Gold, ONE as G_ONE, ZERO as G_ZERO, dot
 from .groupkit import FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
@@ -123,19 +123,9 @@ class CharTable:
     # -- arithmetic -----------------------------------------------------
 
     def inner(self, chi: CharVector, psi: CharVector) -> Gold:
-        """(1/|G|) sum over classes of size * chi * psi (real-valued table).
-
-        Summed on Z[sqrt5] integers: with chi = (a + a5*sqrt5)/p and
-        psi = (b + b5*sqrt5)/q classwise, the result is one Gold over p*q*|G|.
-        """
-        x, p = integer_pairs(chi.values)
-        y, q = integer_pairs(psi.values)
-        rat = root = 0
-        for size, a, a5, b, b5 in zip(self.class_sizes, x[0::2], x[1::2],
-                                      y[0::2], y[1::2]):
-            rat += size * (a * b + 5 * a5 * b5)
-            root += size * (a * b5 + a5 * b)
-        return Gold(rat, root, p * q * len(self.group))
+        """(1/|G|) sum over classes of size * chi * psi (real-valued table),
+        summed on Z[sqrt5] integers."""
+        return dot(chi.values, psi.values, self.class_sizes, len(self.group))
 
     def decompose(self, chi: CharVector) -> dict[str, int]:
         """Multiplicities of the irreducibles in chi; exact reconstruction

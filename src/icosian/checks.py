@@ -12,13 +12,14 @@ run_checks drives the registry and is the engine behind `verify`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
+from operator import add
 from typing import NamedTuple
 
 from . import census, coincidence, spans
 from .chars import LABELS, char_table, format_decomposition, gauge_bookkeeping
 from .claim import Claim
-from .goldnum import Gold
+from .goldnum import Gold, dot
 from .qmat2 import IDENTITY, Spinor2
 from .quat import THETA, ZERO as Q_ZERO
 from .reflgroup import (
@@ -220,16 +221,13 @@ def check_chars_table():
        " size", True)
 def check_chars_columns():
     ct = char_table()
-    n = len(ct.classes)
-    ok = True
-    for c in range(n):
-        for d in range(n):
-            s = Gold(0)
-            for chi in ct.irreducibles:
-                s = s + chi.values[c] * chi.values[d]
-            want = Gold(120, 0, ct.class_sizes[c]) if c == d else Gold(0)
-            ok = ok and s == want
-    return ok
+    columns = list(zip(*(chi.values for chi in ct.irreducibles)))
+    ones = [1] * len(ct.irreducibles)
+    return all(
+        dot(x, y, ones) == (Gold(120, 0, ct.class_sizes[c]) if c == d else 0)
+        for c, x in enumerate(columns)
+        for d, y in enumerate(columns)
+    )
 
 
 @check("chars.fs", "Frobenius-Schur indicators",
@@ -243,19 +241,16 @@ def check_chars_fs():
 
 
 TENSOR_IDENTITIES = (
-    (("2a", "2a"), "1+3a"),
-    (("2a", "2b"), "4a"),
-    (("2b", "2b"), "1+3b"),
-    (("2b", "3a"), "6"),
-    (("2b", "4b"), "3b+5"),
-    (("2b", "3b"), "2b+4b"),
-    (("4a", "4a"), "1+3a+3b+4a+5"),
-    (("4b", "4b"), "1+3a+3b+4a+5"),
-    (("2a", "4b"), "3a+5"),
-)
-
-TENSOR_SUM_IDENTITIES = (
     # ((left addends), (right addends), result)
+    (("2a",), ("2a",), "1+3a"),
+    (("2a",), ("2b",), "4a"),
+    (("2b",), ("2b",), "1+3b"),
+    (("2b",), ("3a",), "6"),
+    (("2b",), ("4b",), "3b+5"),
+    (("2b",), ("3b",), "2b+4b"),
+    (("4a",), ("4a",), "1+3a+3b+4a+5"),
+    (("4b",), ("4b",), "1+3a+3b+4a+5"),
+    (("2a",), ("4b",), "3a+5"),
     (("2a", "2b"), ("2a", "2b"), "1+1+3a+3b+4a+4a"),
     (("2a", "2b"), ("4b",), "3a+3b+5+5"),
     (("2a",), ("2a", "2b"), "1+3a+4a"),
@@ -268,17 +263,9 @@ TENSOR_SUM_IDENTITIES = (
 def check_chars_tensor():
     ct = char_table()
     failures = []
-    for (a, b), want in TENSOR_IDENTITIES:
-        got = format_decomposition(ct.decompose(ct.by_label[a] * ct.by_label[b]))
-        if got != want:
-            failures.append(f"{a}*{b} = {got} != {want}")
-    for left, right, want in TENSOR_SUM_IDENTITIES:
-        lsum = ct.by_label[left[0]]
-        for lab in left[1:]:
-            lsum = lsum + ct.by_label[lab]
-        rsum = ct.by_label[right[0]]
-        for lab in right[1:]:
-            rsum = rsum + ct.by_label[lab]
+    for left, right, want in TENSOR_IDENTITIES:
+        lsum = reduce(add, (ct.by_label[lab] for lab in left))
+        rsum = reduce(add, (ct.by_label[lab] for lab in right))
         got = format_decomposition(ct.decompose(lsum * rsum))
         if got != want:
             failures.append(f"({'+'.join(left)})*({'+'.join(right)}) = {got}"

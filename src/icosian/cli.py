@@ -8,7 +8,7 @@ import sys
 from . import census, coincidence, spans
 from .chars import char_table, format_decomposition, gauge_bookkeeping
 from .checks import run_checks
-from .reflgroup import build_o1, word_string
+from .reflgroup import build_o1, roots, word_string
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,19 +156,19 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    classes = census.root_census()
     book = census.root_bookkeeping()
+    classes = list(enumerate(zip(census.ROOT_LABELS, roots())))
     data = {
         "bookkeeping": book,
         "classes": [
             {
-                "base_index": c.base_index,
-                "label": c.label,
-                "base_spinor": str(c.members[0]),
-                "members": [str(r) for r in c.members]
-                if args.full else len(c.members),
+                "base_index": i,
+                "label": label,
+                "base_spinor": str(members[0]),
+                "members": [str(r) for r in members]
+                if args.full else len(members),
             }
-            for c in classes
+            for i, (label, members) in classes
         ],
     }
     lines = [f"{book['classes']} classes x {book['class_size']} roots;"
@@ -176,11 +176,10 @@ def cmd_roots(args) -> int:
              f"scalar group order {book['scalar_group_order']}, rotation"
              f" image order {book['so3_image_order']}"
              f" (nonabelian: {book['so3_image_nonabelian']})", ""]
-    for c in classes:
-        lines.append(f"class {c.base_index} ({c.label}): base"
-                     f" {c.members[0]}")
+    for i, (label, members) in classes:
+        lines.append(f"class {i} ({label}): base {members[0]}")
         if args.full:
-            for r in c.members:
+            for r in members:
                 lines.append(f"    {r}")
     _emit(args, data, "\n".join(lines))
     return 0

@@ -185,6 +185,22 @@ def integer_pairs(values: Sequence[Gold]) -> tuple[list[int], int]:
     return out, den
 
 
+def dot(xs: Sequence[Gold], ys: Sequence[Gold], weights: Sequence[int],
+        den: int = 1) -> Gold:
+    """sum of w*x*y over the three sequences, divided by den.
+
+    Summed on Z[sqrt5] integers: with x = (a + a5*sqrt5)/p and
+    y = (b + b5*sqrt5)/q termwise, the result is one Gold over p*q*den.
+    """
+    x, p = integer_pairs(xs)
+    y, q = integer_pairs(ys)
+    rat = root = 0
+    for w, a, a5, b, b5 in zip(weights, x[0::2], x[1::2], y[0::2], y[1::2]):
+        rat += w * (a * b + 5 * a5 * b5)
+        root += w * (a * b5 + a5 * b)
+    return Gold(rat, root, p * q * den)
+
+
 def _coerce(x):
     if isinstance(x, Gold):
         return x

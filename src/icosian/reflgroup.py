@@ -101,8 +101,16 @@ def reflection_of(r: Spinor2) -> QMat2:
 
 @cache
 def reflection_matrices() -> tuple[QMat2, ...]:
-    """The 20 distinct reflections of the 120 roots, in first-seen order."""
-    return tuple(dict.fromkeys(reflection_of(r) for cls in roots() for r in cls))
+    """The 20 distinct reflections of the 120 roots, in first-seen order.
+
+    The reflection of r*s sees the unit scalar s only through s(1-omega)s^-1.
+    The six scalars of <omega, -1> commute with omega, so they give r's own
+    reflection; the other six, the coset of phi, turn omega into omega^2 and
+    give its inverse.  So one root per coset of each class gives all of them.
+    """
+    other = scalar_group().index(PHI)
+    return tuple(dict.fromkeys(reflection_of(r)
+                               for cls in roots() for r in (cls[0], cls[other])))
 
 
 @cache

@@ -6,25 +6,25 @@ from icosian.reflgroup import (
     build_o1,
     diagonal_subgroup,
     reflection_group,
+    roots,
     word_index,
 )
 
 
 def test_root_census_shape():
-    classes = census.root_census()
+    classes = roots()
     assert len(classes) == 10
-    assert all(len(c.members) == 12 for c in classes)
-    labels = [c.label for c in classes]
+    assert all(len(c) == 12 for c in classes)
+    labels = list(census.ROOT_LABELS)
+    assert len(labels) == 10
     assert labels.count("neutrino-like") == 1
     assert labels.count("electron-like") == 3
     assert labels.count("quark-like") == 6
 
 
 def test_neutrino_class_has_zero_second_component():
-    classes = census.root_census()
-    nu = classes[0]
-    assert nu.label == "neutrino-like"
-    assert all(r.c2 == Q_ZERO for r in nu.members)
+    assert census.ROOT_LABELS[0] == "neutrino-like"
+    assert all(r.c2 == Q_ZERO for r in roots()[0])
 
 
 def test_root_bookkeeping():
@@ -74,6 +74,59 @@ def test_order4_structure():
     assert matching is not None
     assert len(matching) == 3
     assert len({i for pair in matching for i in pair}) == 6
+
+
+def reference_matching(G, h_idx, pairs):
+    """A perfect matching of sign-pairs whose products lie in the subgroup,
+    found by backtracking; None if there is none: _product_matching's
+    reference."""
+
+    def good(p, q):
+        x, y = min(p), min(q)
+        return G.table[x][y] in h_idx or G.table[y][x] in h_idx
+
+    def solve(remaining):
+        if not remaining:
+            return []
+        a = remaining[0]
+        for b in remaining[1:]:
+            if good(pairs[a], pairs[b]):
+                rest = solve([r for r in remaining[1:] if r != b])
+                if rest is not None:
+                    return [(a, b)] + rest
+        return None
+
+    return solve(list(range(len(pairs))))
+
+
+def paired_product_pairs():
+    G, h_idx, minus = census._group_data()
+    pairs = [census._sign_pair(G, minus, census._listed_index(G, t))
+             for t in census.ORDER4_LISTED["paired-products"]]
+    return G, h_idx, pairs
+
+
+def test_product_matching_matches_the_backtracking_reference():
+    G, h_idx, pairs = paired_product_pairs()
+    want = [(0, 1), (2, 3), (4, 5)]
+    assert census._product_matching(G, h_idx, pairs) == want
+    assert reference_matching(G, h_idx, pairs) == want
+
+
+def test_product_matching_rejects_surplus_couples():
+    # with H = G every couple is good: a matching exists, but the good
+    # couples do not pair off each sign-pair exactly once
+    G, _, pairs = paired_product_pairs()
+    everything = frozenset(range(len(G)))
+    assert census._product_matching(G, everything, pairs) is None
+    assert reference_matching(G, everything, pairs) is not None
+
+
+def test_product_matching_without_good_couples():
+    G, _, pairs = paired_product_pairs()
+    identity = frozenset({0})
+    assert census._product_matching(G, identity, pairs) is None
+    assert reference_matching(G, identity, pairs) is None
 
 
 def test_order3_census():

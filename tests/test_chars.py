@@ -8,7 +8,7 @@ from icosian.chars import (
     CharVector, LABELS, build_quat_lift, char_table, format_decomposition,
     gauge_bookkeeping,
 )
-from icosian.goldnum import Gold
+from icosian.goldnum import Gold, dot
 from icosian.reflgroup import build_o1
 from conftest import golds
 
@@ -77,10 +77,16 @@ class_functions = st.lists(golds, min_size=9, max_size=9).map(
     lambda values: CharVector(tuple(values)))
 
 
-@given(class_functions, class_functions)
-def test_inner_matches_gold_sum_on_class_functions(chi, psi):
+@given(class_functions, class_functions,
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=9, max_size=9),
+       st.integers(min_value=1, max_value=130))
+def test_inner_matches_gold_sum_on_class_functions(chi, psi, weights, den):
     table = ct()
     assert table.inner(chi, psi) == reference_inner(table, chi, psi)
+    total = Gold(0)
+    for w, a, b in zip(weights, chi.values, psi.values):
+        total = total + a * b * Gold(w)
+    assert dot(chi.values, psi.values, weights, den) == total / Gold(den)
 
 
 def test_column_orthogonality():

@@ -1,6 +1,8 @@
 from icosian import checks, reflgroup
+from icosian.chars import CharVector, char_table
 from icosian.checks import REGISTRY, Claimed, check
 from icosian.claim import Claim
+from icosian.goldnum import Gold
 from icosian.quat import Quat
 from icosian.reflgroup import build_o1
 
@@ -55,3 +57,24 @@ def test_roots_norm_fails_on_a_bad_root(monkeypatch):
         reflgroup.roots.cache_clear()
     assert r.status == "fail"
     assert "squared norm" in r.actual
+
+
+def registered(id_):
+    return next(fn for fn in REGISTRY if fn.id == id_)
+
+
+def test_chars_columns_fails_on_a_wrong_dimension(monkeypatch):
+    # the 6 of the last character becomes a 5: its column sums break
+    ct = char_table()
+    *rest, six = ct.irreducibles
+    wrong = CharVector((Gold(5),) + six.values[1:], six.label)
+    monkeypatch.setattr(ct, "irreducibles", (*rest, wrong))
+    assert registered("chars.columns")().status == "fail"
+
+
+def test_chars_tensor_names_the_factors_of_a_failure(monkeypatch):
+    wrong = checks.TENSOR_IDENTITIES + ((("2b",), ("4b",), "3a+5"),)
+    monkeypatch.setattr(checks, "TENSOR_IDENTITIES", wrong)
+    r = registered("chars.tensor")()
+    assert r.status == "fail"
+    assert r.actual == "(2b)*(4b) = 3b+5 != 3a+5"

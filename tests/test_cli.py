@@ -152,6 +152,16 @@ def test_roots_full_json(capsys):
     assert sum(len(c["members"]) for c in data["classes"]) == 120
 
 
+def test_roots_json_matches_golden_counts(capsys):
+    # without --full each class lists its member count, not its members
+    want = GOLDEN["views"]["roots --full"]
+    want = {**want, "classes": [{**c, "members": len(c["members"])}
+                                for c in want["classes"]]}
+    code, out, _ = run(capsys, "roots", "--json")
+    assert code == 0
+    assert json.loads(out) == want
+
+
 def test_orbits(capsys):
     code, out, _ = run(capsys, "orbits")
     assert code == 0

@@ -2,11 +2,12 @@
 
 Scans the syntax tree of every module of the package: each function or
 method defined there, and each name bound at a module's top level, must be
-named somewhere else in the package (as a name read, an attribute or an
-import), or in the benchmark scripts under perfbench/.  Dunder methods,
-@check bodies (the registry calls them), the test oracle Quat.norm2 and
-__version__ are exempt.  The match is by name only, so a dead method that
-shares its name with a live one slips through.
+named somewhere else in the package (as a name read, an attribute, or an
+import whose bound name the importing module reads), or in the benchmark
+scripts under perfbench/.  Dunder methods, @check bodies (the registry
+calls them), the test oracle Quat.norm2 and __version__ are exempt.  The
+match is by name only, so a dead method that shares its name with a live
+one slips through.
 """
 import ast
 from pathlib import Path
@@ -19,13 +20,18 @@ EXEMPT = {"norm2", "__version__"}  # Quat.norm2: the tests' norm oracle; package
 def named(trees) -> set[str]:
     out = set()
     for tree in trees:
+        read, aliases = set(), []
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                out.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                read.add(node.attr)
             elif isinstance(node, ast.alias):
-                out.add(node.name)
+                aliases.append(node)
+        # an import is a use only where the importing module reads the name
+        # it binds (its alias, if it has one)
+        out |= read | {a.name for a in aliases
+                       if (a.asname or a.name.split(".")[0]) in read}
     return out
 
 
@@ -97,3 +103,13 @@ def test_scanner_flags_an_unused_constant():
            "def f(): return SQRT5 + TAU + LABELS\n")
     assert unused_constants({"m.py": ast.parse(src)}, {"f"}) == \
         ["m.py: HALF", "m.py: SIGMA"]
+
+
+def test_scanner_flags_a_function_that_is_only_imported():
+    lib = ("def used(): pass\n"
+           "def aliased(): pass\n"
+           "def imported_only(): pass\n")
+    user = ("from .lib import used, imported_only, aliased as al\n"
+            "def run(): return used() + al()\n")
+    package = {"lib.py": ast.parse(lib), "user.py": ast.parse(user)}
+    assert unused_functions(package, {"run"}) == ["lib.py: imported_only"]

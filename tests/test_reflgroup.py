@@ -91,6 +91,17 @@ def test_twenty_reflections_six_to_one():
     assert all(len(v) == 6 for v in by_matrix.values())
 
 
+def test_one_root_per_scalar_coset_gives_every_reflection():
+    # reflection_matrices reflects two roots of each class; all 120 roots
+    # give the same 20 matrices, in the same first-seen order
+    assert reflection_matrices() == tuple(
+        dict.fromkeys(reflection_of(r) for cls in roots() for r in cls))
+    # the root of the phi coset gives the inverse of the class's reflection
+    other = scalar_group().index(PHI)
+    for cls in roots():
+        assert reflection_of(cls[0]) * reflection_of(cls[other]) == IDENTITY
+
+
 def test_reflections_have_order_3_in_inverse_pairs():
     g = build_o1()
     idxs = [g.index(m) for m in reflection_matrices()]
