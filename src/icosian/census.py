@@ -41,19 +41,22 @@ class OrbitCensus:
 
 
 def root_bookkeeping() -> dict:
-    """The 120 roots as 10 labelled classes of 12; class 0 is the one with
-    vanishing second component (its reflection acts on the first coordinate
-    only)."""
+    """The roots as labelled classes of one size, both read off ``roots()``
+    (10 classes of 12); class 0 is the one with vanishing second component
+    (its reflection acts on the first coordinate only)."""
     classes = roots()
     if any(r.c2 != Q_ZERO for r in classes[0]):
         raise ValueError("class 0 has a member with nonzero second component")
+    sizes = sorted({len(members) for members in classes})
+    if len(sizes) != 1:
+        raise ValueError(f"root classes of sizes {sizes}, not of one size")
     by_label: dict[str, int] = {}
     for label, members in zip(ROOT_LABELS, classes):
         by_label[label] = by_label.get(label, 0) + len(members)
     so3_order, so3_nonabelian = so3_image()
     return {
         "classes": len(classes),
-        "class_size": 12,
+        "class_size": sizes[0],
         "states_by_label": by_label,
         "total": sum(by_label.values()),
         "scalar_group_order": len(scalar_group()),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .goldnum import Gold, ONE as G_ONE, ZERO as G_ZERO, dot
+from .goldnum import Gold, ONE as G_ONE, dot, dot_pairs, integer_pairs
 from .groupkit import FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
@@ -129,19 +129,26 @@ class CharTable:
 
     def decompose(self, chi: CharVector) -> dict[str, int]:
         """Multiplicities of the irreducibles in chi; exact reconstruction
-        is enforced."""
+        is enforced.  One pass on Z[sqrt5] integers: with chi = x/p and the
+        irreducibles y/q, the sum of m*y must equal x*q/p."""
+        x, p = integer_pairs(chi.values)
+        ys, q = integer_pairs([v for irr in self.irreducibles for v in irr.values])
+        den = p * q * len(self.group)
+        n = len(x)
         mults: dict[str, int] = {}
-        recon = CharVector(tuple(G_ZERO for _ in self.classes))
-        for irr in self.irreducibles:
-            m = self.inner(chi, irr)
-            if not m.is_integer or m.na < 0:
-                raise ValueError(f"multiplicity of {irr.label} is {m}, not a"
-                                 " non-negative integer")
-            if m.na:
-                mults[irr.label] = m.na
-                for _ in range(m.na):
-                    recon = recon + irr
-        if recon.values != chi.values:
+        recon = [0] * n
+        for k, irr in enumerate(self.irreducibles):
+            y = ys[k * n:(k + 1) * n]
+            rat, root = dot_pairs(x, y, self.class_sizes)
+            m, rest = divmod(rat, den)
+            if root or rest or m < 0:
+                raise ValueError(f"multiplicity of {irr.label} is"
+                                 f" {Gold(rat, root, den)}, not a non-negative"
+                                 " integer")
+            if m:
+                mults[irr.label] = m
+                recon = [r + m * v for r, v in zip(recon, y)]
+        if [r * p for r in recon] != [v * q for v in x]:
             raise ValueError("decomposition does not reconstruct the character")
         return mults
 
@@ -159,16 +166,21 @@ class CharTable:
     # -- branching from the ambient SU(2) -------------------------------
 
     def hyperspin(self, two_j: int) -> CharVector:
-        """Restriction character for the spin-(two_j/2) representation."""
+        """Restriction character for the spin-(two_j/2) representation, by
+        chi_{n+1} = chi_2a * chi_n - chi_{n-1} on Z[sqrt5] integer pairs over
+        2: the values lie in Z[phi], pairs (a, b) with a = b mod 2, so halving
+        each product (ac + 5bd, ad + bc) is exact."""
         if two_j < 0:
             raise ValueError("two_j must be non-negative")
-        prev = CharVector(tuple(G_ONE for _ in self.classes))  # 2j = 0
-        if two_j == 0:
-            return prev
-        cur = self.by_label["2a"]  # 2j = 1
-        for _ in range(two_j - 1):
-            prev, cur = cur, self.by_label["2a"] * cur - prev
-        return cur
+        ints, den = integer_pairs(self.by_label["2a"].values)
+        x = [(c * 2 // den, d * 2 // den) for c, d in zip(ints[0::2], ints[1::2])]
+        if 2 % den or any((c - d) % 2 for c, d in x):
+            raise ValueError("character 2a takes a value outside Z[phi]")
+        prev, cur = [(0, 0)] * len(x), [(2, 0)] * len(x)  # 2j = -1 and 2j = 0
+        for _ in range(two_j):
+            prev, cur = cur, [((a * c + 5 * b * d) // 2 - a0, (a * d + b * c) // 2 - b0)
+                              for (c, d), (a, b), (a0, b0) in zip(x, cur, prev)]
+        return CharVector(tuple(Gold(a, b, 2) for a, b in cur))
 
     def hyperspin_table(self, max_two_j: int = 7) -> list[tuple[int, dict[str, int]]]:
         return [(tj, self.decompose(self.hyperspin(tj))) for tj in range(max_two_j + 1)]

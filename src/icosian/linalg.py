@@ -1,9 +1,10 @@
 """Exact Gaussian elimination over the golden field.
 
 Scaling a vector by its common denominator leaves its span unchanged, so each
-Gold vector enters as Z[sqrt5] integers (``goldnum.integer_pairs``).  Rows are
-kept primitive, in echelon form sorted by pivot, with a positive rational
-integer at the pivot, and elimination is fraction-free: no Gold value is built.
+Gold vector enters as Z[sqrt5] integers (``goldnum.integer_pairs``), and each
+row is kept in that order.  Rows are primitive, in echelon form sorted by
+pivot, with a positive rational integer at the pivot.  Elimination is
+fraction-free, with one content gcd per new row: no Gold value is built.
 """
 from __future__ import annotations
 
@@ -11,15 +12,18 @@ from math import gcd
 
 from .goldnum import Gold, integer_pairs
 
-# A row is a pair (rational parts, sqrt5 parts) of integer lists.
-Row = tuple[list[int], list[int]]
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
-def _primitive(a: list[int], b: list[int]) -> Row:
-    g = gcd(*a, *b)
-    if g > 1:
-        return [x // g for x in a], [x // g for x in b]
-    return a, b
+def _partner(v: list[int]) -> list[int]:
+    """The vector times sqrt5, so that (c + d*sqrt5)*v is c*v + d*partner."""
+    out = v[:]
+    out[0::2] = [5 * b for b in v[1::2]]
+    out[1::2] = v[0::2]
+    return out
 
 
 class Echelon:
@@ -27,51 +31,52 @@ class Echelon:
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[Row] = []
+        self.rows: list[list[int]] = []
+        self.partners: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: list[Gold]) -> Row:
-        ints, _ = integer_pairs(vec)
-        a, b = ints[0::2], ints[1::2]
-        for (ra, rb), p in zip(self.rows, self.pivots):
-            c, d = a[p], b[p]
+    def _reduce(self, vec: list[Gold]) -> list[int]:
+        """vec eliminated against every row, up to a positive factor: each
+        step scales v by a positive pivot, and only a new row is made
+        primitive, which removes that factor."""
+        v, _ = integer_pairs(vec)
+        for row, partner, p in zip(self.rows, self.partners, self.pivots):
+            c, d = v[2 * p], v[2 * p + 1]
             if c or d:
-                # v <- n*v - (c + d*sqrt5)*row, with n = row[p] a rational
-                # integer, clears v[p] and touches only columns after it
-                n, d5 = ra[p], 5 * d
-                a, b = _primitive(
-                    [n * x - c * y - d5 * z for x, y, z in zip(a, ra, rb)],
-                    [n * x - c * z - d * y for x, y, z in zip(b, ra, rb)])
-        return a, b
+                # v <- n*v - (c + d*sqrt5)*row, with n the row's pivot entry
+                # (a positive rational integer), clears v[p] and touches only
+                # columns after it
+                n = row[2 * p]
+                v = [n * x - c * y - d * z for x, y, z in zip(v, row, partner)]
+        return v
 
     def contains(self, vec: list[Gold]) -> bool:
         if self.dim == self.width:
             return True
-        a, b = self._reduce(vec)
-        return not (any(a) or any(b))
+        return not any(self._reduce(vec))
 
     def add(self, vec: list[Gold]) -> bool:
         """Insert vec; returns True if it enlarged the span."""
         if self.dim == self.width:
             return False
-        a, b = self._reduce(vec)
-        pivot = next((i for i, (x, y) in enumerate(zip(a, b)) if x or y), None)
+        v = self._reduce(vec)
+        pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             return False
+        pivot //= 2
         # multiply by the conjugate of the pivot entry, whose norm then sits
         # at the pivot as a rational integer; make it positive
-        c, d = a[pivot], b[pivot]
+        c, d = v[2 * pivot], v[2 * pivot + 1]
         if c * c - 5 * d * d < 0:
             c, d = -c, -d
-        d5 = 5 * d
-        row = _primitive([c * x - d5 * y for x, y in zip(a, b)],
-                         [c * y - d * x for x, y in zip(a, b)])
+        row = _primitive([c * x - d * z for x, z in zip(v, _partner(v))])
         pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.rows))
         self.rows.insert(pos, row)
+        self.partners.insert(pos, _partner(row))
         self.pivots.insert(pos, pivot)
         return True
 
@@ -83,4 +88,3 @@ def rank(vectors: list[list[Gold]]) -> int:
     for v in vectors:
         ech.add(v)
     return ech.dim
-

@@ -1,3 +1,5 @@
+import pytest
+
 from icosian import census
 from icosian.checks import run_checks
 from icosian.qmat2 import QMat2
@@ -36,6 +38,18 @@ def test_root_bookkeeping():
     assert b["scalar_group_order"] == 12
     assert b["so3_image_order"] == 6
     assert b["so3_image_nonabelian"] is True
+
+
+@pytest.mark.parametrize("short", [1, 10], ids=["one-class", "every-class"])
+def test_census_roots_fails_on_classes_of_11(monkeypatch, short):
+    # the class size is read off the roots: one class of 11 makes the sizes
+    # differ, and ten classes of 11 report 11, not 12
+    classes = roots()
+    monkeypatch.setattr(census, "roots", lambda: tuple(
+        c[:11] if k < short else c for k, c in enumerate(classes)))
+    (result,) = run_checks("census.roots").results
+    assert result.status == "fail"
+    assert ("of sizes [11, 12]" if short == 1 else "(10, 11, ") in result.actual
 
 
 def test_order4_census_pairs():

@@ -1,4 +1,7 @@
 import copy
+from functools import reduce
+from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -199,9 +202,61 @@ def test_hyperspin_dimensions():
         assert table.hyperspin(tj).dim == Gold(tj + 1)
 
 
+def reference_hyperspin(table, two_j):
+    """The Chebyshev recursion on Gold-valued characters: hyperspin's reference."""
+    prev = CharVector(tuple(Gold(1) for _ in table.classes))
+    if two_j == 0:
+        return prev
+    cur = table.by_label["2a"]
+    for _ in range(two_j - 1):
+        prev, cur = cur, table.by_label["2a"] * cur - prev
+    return cur
+
+
+def reference_decompose(table, chi):
+    """Multiplicities by Gold inner products, reconstructed by adding each
+    irreducible once per unit of multiplicity: decompose's reference."""
+    mults = {}
+    recon = CharVector(tuple(Gold(0) for _ in table.classes))
+    for irr in table.irreducibles:
+        m = reference_inner(table, chi, irr)
+        assert m.is_integer and m.na >= 0
+        if m.na:
+            mults[irr.label] = m.na
+            for _ in range(m.na):
+                recon = recon + irr
+    assert recon.values == chi.values
+    return mults
+
+
+def test_hyperspin_and_its_decomposition_match_gold_references():
+    table = ct()
+    for tj in range(41):
+        chi = table.hyperspin(tj)
+        assert chi.values == reference_hyperspin(table, tj).values
+        assert table.decompose(chi) == reference_decompose(table, chi)
+
+
+def test_decompose_matches_gold_reference_on_products():
+    table = ct()
+    for k in (2, 3):
+        for labels in combinations_with_replacement(LABELS, k):
+            chi = reduce(mul, (table.by_label[lab] for lab in labels))
+            assert table.decompose(chi) == reference_decompose(table, chi)
+
+
 def test_hyperspin_rejects_negative():
     with pytest.raises(ValueError):
         ct().hyperspin(-1)
+
+
+def test_hyperspin_rejects_a_2a_value_outside_z_phi(monkeypatch):
+    # halving the recursion's products is exact only on Z[phi]
+    table = ct()
+    half = CharVector((Gold(1, 0, 2),) + table.by_label["2a"].values[1:], "2a")
+    monkeypatch.setitem(table.by_label, "2a", half)
+    with pytest.raises(ValueError, match="outside Z"):
+        table.hyperspin(3)
 
 
 def test_gauge_bookkeeping():

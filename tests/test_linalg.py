@@ -1,7 +1,9 @@
+from math import gcd
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from icosian.goldnum import Gold, ZERO
+from icosian.goldnum import Gold, ZERO, integer_pairs
 from icosian.linalg import Echelon, rank
 from icosian.reflgroup import build_o1
 from icosian.spans import span_dim
@@ -44,6 +46,43 @@ class ReferenceEchelon:
         return True
 
 
+def primitive(a, b):
+    g = gcd(*a, *b)
+    return ([x // g for x in a], [x // g for x in b]) if g > 1 else (a, b)
+
+
+class PerStepPrimitiveEchelon:
+    """The integer elimination that makes v primitive after every step; its
+    rows, interleaved in ``integer_pairs`` order, are Echelon's reference."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def add(self, vec):
+        ints, _ = integer_pairs(vec)
+        a, b = ints[0::2], ints[1::2]
+        for (ra, rb), p in zip(self.rows, self.pivots):
+            c, d = a[p], b[p]
+            if c or d:
+                n = ra[p]
+                a, b = primitive([n * x - c * y - 5 * d * z for x, y, z in zip(a, ra, rb)],
+                                 [n * x - c * z - d * y for x, y, z in zip(b, ra, rb)])
+        pivot = next((i for i, (x, y) in enumerate(zip(a, b)) if x or y), None)
+        if pivot is None:
+            return
+        c, d = a[pivot], b[pivot]
+        if c * c - 5 * d * d < 0:
+            c, d = -c, -d
+        row = primitive([c * x - 5 * d * y for x, y in zip(a, b)],
+                        [c * y - d * x for x, y in zip(a, b)])
+        pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.rows))
+        self.rows.insert(pos, row)
+        self.pivots.insert(pos, pivot)
+
+    def interleaved_rows(self):
+        return [[x for pair in zip(a, b) for x in pair] for a, b in self.rows]
+
+
 def combine(coeffs, rows):
     out = [ZERO] * len(rows[0])
     for c, row in zip(coeffs, rows):
@@ -67,9 +106,14 @@ def planted_systems(draw):
 def test_elimination_agrees_with_reference(system):
     rows, probes = system
     ref, ech = ReferenceEchelon(), Echelon(len(rows[0]))
+    per_step = PerStepPrimitiveEchelon()
     for row in rows:
         assert ech.add(row) == ref.add(row)
+        per_step.add(row)
     assert rank(rows) == ech.dim == len(ref.rows)
+    # one content gcd per new row leaves the stored rows as they are when v
+    # is made primitive after every elimination step
+    assert ech.rows == per_step.interleaved_rows()
     for p in probes + rows:
         assert ech.contains(p) == ref.contains(p)
 
