@@ -1,16 +1,17 @@
 """Exact Gaussian elimination over the golden field.
 
-Scaling a vector by its common denominator leaves its span unchanged, so each
-Gold vector enters as Z[sqrt5] integers (``goldnum.integer_pairs``), and each
-row is kept in that order.  Rows are primitive, in echelon form sorted by
-pivot, with a positive rational integer at the pivot.  Elimination is
-fraction-free, with one content gcd per new row: no Gold value is built.
+A vector of width n enters as its 2n Z[sqrt5] integers in
+``goldnum.integer_pairs`` order (rational part, sqrt5 part, ...) with the
+common denominator dropped, since scaling a vector leaves its span unchanged.
+That is the one row format: a QMat2 passes its ``ints``, and a list of Gold
+values converts with ``integer_pairs``.  Rows are primitive, in echelon form
+sorted by pivot, with a positive rational integer at the pivot.  Elimination
+is fraction-free, with one content gcd per new row: no Gold value is built.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
-
-from .goldnum import Gold, integer_pairs
 
 
 def _primitive(v: list[int]) -> list[int]:
@@ -18,16 +19,17 @@ def _primitive(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def _partner(v: list[int]) -> list[int]:
+def _partner(v: Sequence[int]) -> list[int]:
     """The vector times sqrt5, so that (c + d*sqrt5)*v is c*v + d*partner."""
-    out = v[:]
+    out = list(v)
     out[0::2] = [5 * b for b in v[1::2]]
     out[1::2] = v[0::2]
     return out
 
 
 class Echelon:
-    """Incrementally maintained row echelon basis."""
+    """Incrementally maintained row echelon basis of width golden-field
+    coordinates, on rows of 2 * width integers."""
 
     def __init__(self, width: int):
         self.width = width
@@ -39,11 +41,10 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: list[Gold]) -> list[int]:
-        """vec eliminated against every row, up to a positive factor: each
+    def _reduce(self, v: Sequence[int]) -> Sequence[int]:
+        """v eliminated against every row, up to a positive factor: each
         step scales v by a positive pivot, and only a new row is made
         primitive, which removes that factor."""
-        v, _ = integer_pairs(vec)
         for row, partner, p in zip(self.rows, self.partners, self.pivots):
             c, d = v[2 * p], v[2 * p + 1]
             if c or d:
@@ -54,12 +55,12 @@ class Echelon:
                 v = [n * x - c * y - d * z for x, y, z in zip(v, row, partner)]
         return v
 
-    def contains(self, vec: list[Gold]) -> bool:
+    def contains(self, vec: Sequence[int]) -> bool:
         if self.dim == self.width:
             return True
         return not any(self._reduce(vec))
 
-    def add(self, vec: list[Gold]) -> bool:
+    def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns True if it enlarged the span."""
         if self.dim == self.width:
             return False
@@ -81,10 +82,11 @@ class Echelon:
         return True
 
 
-def rank(vectors: list[list[Gold]]) -> int:
+def rank(vectors: list[Sequence[int]]) -> int:
+    """Rank of integer rows in the ``integer_pairs`` order."""
     if not vectors:
         return 0
-    ech = Echelon(len(vectors[0]))
+    ech = Echelon(len(vectors[0]) // 2)
     for v in vectors:
         ech.add(v)
     return ech.dim

@@ -7,6 +7,7 @@ conjugates its first argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .goldnum import Gold, integer_pairs
 from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, from_integer_pairs, hamilton
@@ -36,12 +37,45 @@ def spinor_norm2(r: Spinor2) -> Quat:
     return inner(r, r)
 
 
-@dataclass(frozen=True, slots=True)
 class QMat2:
-    m11: Quat
-    m12: Quat
-    m21: Quat
-    m22: Quat
+    """A 2x2 matrix of quaternions over the golden field.
+
+    Its 16 coefficients (entries in reading order, each as w, x, y, z) are
+    held as 32 Z[sqrt5] integers in ``integer_pairs`` order over one
+    denominator, in canonical form: den > 0 and gcd(den, *ints) == 1.  So
+    structural equality is matrix equality, and the product, sums and Galois
+    map run on the integers and build no Gold.
+    """
+
+    __slots__ = ("ints", "den")
+
+    def __init__(self, m11: Quat, m12: Quat, m21: Quat, m22: Quat):
+        # the least common denominator of canonical Golds leaves the whole
+        # list canonical: a prime of it divides the den of some value to the
+        # full power, and that value's pair is not divisible by it
+        ints, den = integer_pairs([c for q in (m11, m12, m21, m22)
+                                   for c in (q.w, q.x, q.y, q.z)])
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QMat2 is immutable: cannot set {name!r}")
+
+    @property
+    def m11(self) -> Quat:
+        return from_integer_pairs(self.ints[0:8], self.den)
+
+    @property
+    def m12(self) -> Quat:
+        return from_integer_pairs(self.ints[8:16], self.den)
+
+    @property
+    def m21(self) -> Quat:
+        return from_integer_pairs(self.ints[16:24], self.den)
+
+    @property
+    def m22(self) -> Quat:
+        return from_integer_pairs(self.ints[24:32], self.den)
 
     @staticmethod
     def diag(a: Quat, b: Quat) -> "QMat2":
@@ -51,59 +85,87 @@ class QMat2:
     def offdiag(a: Quat, b: Quat) -> "QMat2":
         return QMat2(Q_ZERO, a, b, Q_ZERO)
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QMat2):
+            return self.den == other.den and self.ints == other.ints
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ints, self.den))
+
     def __mul__(self, other):
         if isinstance(other, QMat2):
             # entry (r, c) is m_r1*n_1c + m_r2*n_2c; both Hamilton products
             # are over p*q, so they add as integers before one reduction
-            m, p = integer_pairs(flatten(self))
-            n, q = integer_pairs(flatten(other))
-            den = p * q
-            entries = []
+            m, n = self.ints, other.ints
+            out = []
             for r in (0, 16):  # m_r1 starts at r, m_r2 at r + 8
                 for c in (0, 8):  # n_1c starts at c, n_2c at c + 16
                     u = hamilton(m[r:r + 8], n[c:c + 8])
                     v = hamilton(m[r + 8:r + 16], n[c + 16:c + 24])
-                    entries.append(from_integer_pairs(
-                        [s + t for s, t in zip(u, v)], den))
-            return QMat2(*entries)
+                    out += [s + t for s, t in zip(u, v)]
+            return _reduced(out, self.den * other.den)
         return NotImplemented
 
     def __add__(self, other: "QMat2") -> "QMat2":
-        return QMat2(self.m11 + other.m11, self.m12 + other.m12,
-                     self.m21 + other.m21, self.m22 + other.m22)
+        p, q = self.den, other.den
+        return _reduced([x * q + y * p for x, y in zip(self.ints, other.ints)], p * q)
 
     def __sub__(self, other: "QMat2") -> "QMat2":
-        return QMat2(self.m11 - other.m11, self.m12 - other.m12,
-                     self.m21 - other.m21, self.m22 - other.m22)
+        p, q = self.den, other.den
+        return _reduced([x * q - y * p for x, y in zip(self.ints, other.ints)], p * q)
 
     def __neg__(self) -> "QMat2":
-        return QMat2(-self.m11, -self.m12, -self.m21, -self.m22)
+        return _canonical(tuple([-x for x in self.ints]), self.den)
 
     def scale(self, s) -> "QMat2":
-        """Left scalar multiplication (entrywise s * m_ij)."""
-        if isinstance(s, Quat):
-            return QMat2(s * self.m11, s * self.m12, s * self.m21, s * self.m22)
-        return QMat2(self.m11 * s, self.m12 * s, self.m21 * s, self.m22 * s)
+        """Left scalar multiplication (entrywise s * m_ij); s is a Quat or a
+        golden-field scalar, which commutes with every entry."""
+        if not isinstance(s, Quat):
+            s = Quat.of(s)
+        u, q = integer_pairs((s.w, s.x, s.y, s.z))
+        m = self.ints
+        return _reduced([x for k in range(0, 32, 8) for x in hamilton(u, m[k:k + 8])],
+                        q * self.den)
 
     def galois(self) -> "QMat2":
-        return QMat2(self.m11.galois(), self.m12.galois(),
-                     self.m21.galois(), self.m22.galois())
+        """The sqrt5 -> -sqrt5 automorphism: the sqrt5 half of each pair negated."""
+        ints = list(self.ints)
+        ints[1::2] = [-b for b in ints[1::2]]
+        return _canonical(tuple(ints), self.den)
 
     def complex_char_trace(self) -> Gold:
         """2*(Re m11 + Re m22): the complex trace of the 4-dim complexification."""
-        return (self.m11.w + self.m22.w) * 2
+        m = self.ints
+        return Gold(2 * (m[0] + m[24]), 2 * (m[1] + m[25]), self.den)
 
     def key(self) -> str:
         """Canonical serialization, usable as an indexing key."""
         return f"[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"
 
+    def __repr__(self) -> str:
+        return f"QMat2{self.key()}"
+
+
+def _canonical(ints: tuple[int, ...], den: int) -> QMat2:
+    """The matrix with these ints over den, which are in canonical form."""
+    m = object.__new__(QMat2)
+    object.__setattr__(m, "ints", ints)
+    object.__setattr__(m, "den", den)
+    return m
+
+
+def _reduced(ints: list[int], den: int) -> QMat2:
+    """The matrix with these ints over den > 0, by one gcd reduction."""
+    g = gcd(den, *ints)
+    if g > 1:
+        return _canonical(tuple([x // g for x in ints]), den // g)
+    return _canonical(tuple(ints), den)
+
 
 def flatten(m: QMat2) -> list[Gold]:
     """16 coordinates: entries in reading order, each as (w, x, y, z)."""
-    out = []
-    for q in (m.m11, m.m12, m.m21, m.m22):
-        out += [q.w, q.x, q.y, q.z]
-    return out
+    return [Gold(a, b, m.den) for a, b in zip(m.ints[0::2], m.ints[1::2])]
 
 
 IDENTITY = QMat2.diag(Q_ONE, Q_ONE)

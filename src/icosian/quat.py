@@ -54,9 +54,6 @@ class Quat:
     def norm2(self) -> Gold:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
-    def galois(self) -> "Quat":
-        return Quat(self.w.galois(), self.x.galois(), self.y.galois(), self.z.galois())
-
     def __str__(self) -> str:
         parts = []
         for coeff, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):

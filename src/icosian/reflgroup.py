@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .goldnum import Gold
+from .goldnum import Gold, integer_pairs
 from .groupkit import FiniteGroup
 from .linalg import rank
 from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
@@ -164,7 +164,7 @@ def fixed_space_dim(m: QMat2) -> int:
     rows = []
     for left, right in blocks:
         for rl, rr in zip(left, right):
-            rows.append(rl + rr)
+            rows.append(integer_pairs(rl + rr)[0])
     return 8 - rank(rows)
 
 

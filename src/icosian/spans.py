@@ -1,10 +1,12 @@
 """Exact linear spans and generated matrix algebras over the golden field.
 
-A 2x2 quaternion matrix flattens to 16 golden-field coordinates; spans and
-product-closures are computed by exact elimination.  The reports certify the
-small generated algebras (the commutative rank-3 one, its rank-6 extension
-with a complex corner and a quaternion corner, and the full 16-dimensional
-algebra generated by the reflections).
+A 2x2 quaternion matrix has 16 golden-field coordinates, held as 32 Z[sqrt5]
+integers over one denominator (``QMat2.ints``); spans and product-closures
+pass those integers straight to the exact elimination, so neither builds a
+Gold value (``flatten`` gives the coordinates as Golds).  The reports certify
+the small generated algebras (the commutative rank-3 one, its rank-6
+extension with a complex corner and a quaternion corner, and the full
+16-dimensional algebra generated by the reflections).
 """
 from __future__ import annotations
 
@@ -13,13 +15,13 @@ from functools import cache
 from .claim import Claim
 from .goldnum import Gold
 from .linalg import Echelon, rank
-from .qmat2 import IDENTITY, QMat2, flatten
+from .qmat2 import IDENTITY, QMat2, flatten  # noqa: F401  (re-exported: the coordinates as Golds)
 from .quat import PHI, Quat, THETA, ZERO as Q_ZERO
 from .reflgroup import THIRD, build_o1, generators, reflection_matrices
 
 
 def span_dim(mats: list[QMat2]) -> int:
-    return rank([flatten(m) for m in mats])
+    return rank([m.ints for m in mats])
 
 
 def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:
@@ -38,7 +40,7 @@ def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:
     ech = Echelon(16)
     inputs: list[QMat2] = []
     for m in mats:
-        if ech.add(flatten(m)):
+        if ech.add(m.ints):
             inputs.append(m)
     basis = list(inputs)
     k = 0
@@ -47,7 +49,7 @@ def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:
         w = basis[k]
         for s in inputs:
             p = s * w
-            if ech.add(flatten(p)):
+            if ech.add(p.ints):
                 basis.append(p)
         k += 1
     return ech.dim, basis
@@ -61,8 +63,8 @@ def is_galois_stable(mats: list[QMat2]) -> bool:
     """Whether the span is preserved by the sqrt5 -> -sqrt5 automorphism."""
     ech = Echelon(16)
     for m in mats:
-        ech.add(flatten(m))
-    return all(ech.contains(flatten(m.galois())) for m in mats)
+        ech.add(m.ints)
+    return all(ech.contains(m.galois().ints) for m in mats)
 
 
 def _eq_check(name: str, got: QMat2, want: QMat2) -> Claim:

@@ -1,10 +1,13 @@
+from math import gcd
+
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icosian.goldnum import Gold
 from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, inner, spinor_norm2
 from icosian.quat import ONE as Q_ONE, ZERO as Q_ZERO, Quat
-from icosian.reflgroup import build_o1, generators
+from icosian.reflgroup import THIRD, build_o1, generators
 from conftest import quats
 
 spinors = st.builds(Spinor2, quats, quats)
@@ -93,9 +96,57 @@ def test_trace_cyclic(a, b):
 @given(mats)
 def test_galois_multiplicative(a):
     assert (a * a).galois() == a.galois() * a.galois()
+    assert (a + a * a).galois() == a.galois() + (a * a).galois()
 
 
 def test_key_distinguishes():
     a = QMat2.diag(Q_ONE, Q_ONE)
     b = QMat2.diag(Q_ONE, -Q_ONE)
     assert a.key() != b.key()
+
+
+def assert_canonical(m: QMat2):
+    assert len(m.ints) == 32 and m.den > 0 and gcd(m.den, *m.ints) == 1
+    rebuilt = QMat2(m.m11, m.m12, m.m21, m.m22)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert (rebuilt.ints, rebuilt.den) == (m.ints, m.den)
+
+
+def test_canonical_form_of_group_elements_and_products():
+    elements = list(build_o1().elements)
+    for m, n in zip(elements, elements[7:] + elements[:7]):
+        assert_canonical(m)
+        assert_canonical(m * n)
+
+
+def test_fixed_matrices_round_trip():
+    for m in (THIRDS, QUARTERS, ZERO_MAT, IDENTITY, THIRDS * QUARTERS):
+        assert_canonical(m)
+    assert THIRDS.den == 3 and QUARTERS.den == 4
+    assert (ZERO_MAT.ints, ZERO_MAT.den) == ((0,) * 32, 1)
+
+
+def test_equal_matrices_by_different_routes_are_equal_and_hash_equal():
+    routes = [
+        ((IDENTITY + IDENTITY + IDENTITY).scale(THIRD), IDENTITY),
+        (THIRDS - THIRDS, ZERO_MAT),
+        (QUARTERS + THIRDS - THIRDS, QUARTERS),
+        (THIRDS.scale(Gold(3)).scale(THIRD), THIRDS),
+        (-(-QUARTERS), QUARTERS),
+        (THIRDS.galois().galois(), THIRDS),
+        (MINUS_IDENTITY * THIRDS, -THIRDS),
+    ]
+    for got, want in routes:
+        assert_canonical(got)
+        assert got == want and hash(got) == hash(want)
+
+
+def test_equal_integers_over_different_denominators_differ():
+    half = IDENTITY.scale(Gold(1, 0, 2))
+    assert half.ints == IDENTITY.ints and half.den == 2
+    assert half != IDENTITY and half + half == IDENTITY
+
+
+def test_matrices_are_immutable():
+    with pytest.raises(AttributeError):
+        IDENTITY.den = 2

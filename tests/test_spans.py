@@ -33,7 +33,7 @@ def reference_closure_dim(mats):
     """All-pairs semi-naive closure: each basis element times itself and, on
     both sides, every earlier one."""
     ech = Echelon(16)
-    basis = [m for m in mats if ech.add(flatten(m))]
+    basis = [m for m in mats if ech.add(m.ints)]
     k = 0
     while k < len(basis) and ech.dim < ech.width:
         new = basis[k]
@@ -41,7 +41,7 @@ def reference_closure_dim(mats):
         for old in basis[:k]:
             products += [new * old, old * new]
         for p in products:
-            if ech.add(flatten(p)):
+            if ech.add(p.ints):
                 basis.append(p)
         k += 1
     return ech.dim
@@ -152,6 +152,26 @@ def test_closure_multiplies_on_generator_edges_only(monkeypatch):
         assert calls <= independent * len(basis)
         total += calls
     assert total > 0
+
+
+def test_closure_builds_no_gold(monkeypatch):
+    # the products and the elimination both run on QMat2.ints
+    g = build_o1()
+    _, gen_g, gen_h = generators()
+    cases = [list(reflection_matrices()), [IDENTITY, gen_g, gen_g * gen_g, gen_h],
+             [g.elements[5], g.elements[17], g.elements[40]]]
+    calls = 0
+    init = Gold.__init__
+
+    def counting_init(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Gold, "__init__", counting_init)
+    dims = [algebra_closure_dim(case) for case in cases]
+    assert calls == 0
+    assert dims[:2] == [16, 6]
 
 
 def test_closure_equals_span_of_generated_subgroup():
