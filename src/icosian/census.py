@@ -7,7 +7,6 @@ exponent convention throughout is x^y = y^-1 x y.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 
@@ -15,17 +14,22 @@ from .claim import Claim
 from .groupkit import FiniteGroup
 from .qmat2 import MINUS_IDENTITY, QMat2
 from .quat import ZERO as Q_ZERO, scalar_group, so3_image
+from .record import Record
 from .reflgroup import build_o1, diagonal_subgroup, roots, word_index
 
 ROOT_LABELS = ("neutrino-like",) + ("electron-like",) * 3 + ("quark-like",) * 6
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    item_kind: str
-    items: tuple[frozenset[int], ...]
-    orbits: tuple[frozenset[int], ...]  # sets of item positions
-    listed: dict[str, tuple[str, ...]]
+class OrbitCensus(Record):
+    __slots__ = ("item_kind", "items", "orbits", "listed")
+
+    def __init__(self, item_kind: str, items: tuple[frozenset[int], ...],
+                 orbits: tuple[frozenset[int], ...],  # sets of item positions
+                 listed: dict[str, tuple[str, ...]]):
+        object.__setattr__(self, "item_kind", item_kind)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "listed", listed)
 
     @property
     def orbit_sizes(self) -> tuple[int, ...]:

@@ -8,24 +8,26 @@ defined by tensor products and validated by exact orthonormality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .goldnum import Gold, ONE as G_ONE, dot, dot_pairs, integer_pairs
 from .groupkit import FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
+from .record import Record
 from .reflgroup import build_o1, word_string
 
 LABELS = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "5", "6")
 
 
-@dataclass(frozen=True)
-class CharVector:
+class CharVector(Record):
     """A class function with Gold values, one per conjugacy class."""
 
-    values: tuple[Gold, ...]
-    label: str | None = None
+    __slots__ = ("values", "label")
+
+    def __init__(self, values: tuple[Gold, ...], label: str | None = None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "label", label)
 
     @property
     def dim(self) -> Gold:
@@ -213,15 +215,20 @@ def format_decomposition(mults: dict[str, int]) -> str:
 
 # -- gauge dimension bookkeeping ----------------------------------------
 
-@dataclass(frozen=True)
-class GaugeBookkeeping:
+class GaugeBookkeeping(Record):
     """Dimension count for cutting the four symplectic factors down to the
     familiar rank-4 gauge group."""
 
-    variant: str
-    symplectic_dims: tuple[int, ...] = (3, 3, 10, 21)
-    kept_dims: tuple[int, ...] = (3, 1, 3, 8)
-    lost_split_detail: tuple[tuple[int, ...], ...] = ((2,), (1, 3, 3), (1, 6, 6))
+    __slots__ = ("variant", "symplectic_dims", "kept_dims", "lost_split_detail")
+
+    def __init__(self, variant: str,
+                 symplectic_dims: tuple[int, ...] = (3, 3, 10, 21),
+                 kept_dims: tuple[int, ...] = (3, 1, 3, 8),
+                 lost_split_detail: tuple[tuple[int, ...], ...] = ((2,), (1, 3, 3), (1, 6, 6))):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "symplectic_dims", symplectic_dims)
+        object.__setattr__(self, "kept_dims", kept_dims)
+        object.__setattr__(self, "lost_split_detail", lost_split_detail)
 
     @property
     def total(self) -> int:

@@ -11,7 +11,6 @@ run_checks drives the registry and is the engine behind `verify`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce, wraps
 from operator import add
 from typing import NamedTuple
@@ -22,6 +21,7 @@ from .claim import Claim
 from .goldnum import Gold, dot
 from .qmat2 import IDENTITY, Spinor2
 from .quat import THETA, ZERO as Q_ZERO
+from .record import Record
 from .reflgroup import (
     build_o1,
     diagonal_subgroup,
@@ -37,8 +37,7 @@ from .reflgroup import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     description: str
     claim: str
@@ -63,9 +62,11 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    results: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[CheckResult, ...]):
+        object.__setattr__(self, "results", results)
 
     @property
     def ok(self) -> bool:

@@ -5,15 +5,17 @@ and each serialises as {"name", "expected", "actual", "pass"}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Claim:
-    name: str
-    expected: str
-    actual: str
-    ok: bool
+class Claim(Record):
+    __slots__ = ("name", "expected", "actual", "ok")
+
+    def __init__(self, name: str, expected: str, actual: str, ok: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "ok", ok)
 
     @staticmethod
     def of(name: str, expected, actual) -> "Claim":

@@ -1,14 +1,15 @@
-"""Command line interface: verification harness plus report views."""
+"""Command line interface: verification harness plus report views.
+
+Each command imports the layers it reads inside its own function, so a
+fresh interpreter loads only what the command runs: ``coincidence`` builds
+no group, and the character views load no check registry, census, spans or
+coincidence module.
+"""
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-
-from . import census, coincidence, spans
-from .chars import char_table, format_decomposition, gauge_bookkeeping
-from .checks import run_checks
-from .reflgroup import build_o1, roots, word_string
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,6 +90,13 @@ def _emit(args, data, text: str) -> None:
         print(text)
 
 
+def run_checks(only: str | None = None):
+    """``checks.run_checks``, with the registry imported on the first call;
+    a module-level name, so a benchmark trace can wrap it."""
+    from . import checks
+    return checks.run_checks(only)
+
+
 def cmd_verify(args) -> int:
     report = run_checks(only=args.only)
     if not report.results:
@@ -103,6 +111,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .chars import char_table
+    from .reflgroup import word_string
     ct = char_table()
     lines = []
     header = ["class order"] + [str(o) for o in ct.class_orders]
@@ -124,6 +134,7 @@ def _spin_label(two_j: int) -> str:
 
 
 def cmd_branch(args) -> int:
+    from .chars import char_table, format_decomposition
     ct = char_table()
     rows = ct.hyperspin_table(args.max_two_j)
     data = {
@@ -142,6 +153,7 @@ def cmd_branch(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .chars import char_table, format_decomposition
     ct = char_table()
     bad = [lab for lab in args.labels if lab not in ct.by_label]
     if bad:
@@ -156,6 +168,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from . import census
+    from .reflgroup import roots
     book = census.root_bookkeeping()
     classes = list(enumerate(zip(census.ROOT_LABELS, roots())))
     data = {
@@ -186,6 +200,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from . import census
+    from .reflgroup import build_o1
     c4 = census.order4_census()
     claims = census.order4_claims()
     s = census.order4_structure()
@@ -220,6 +236,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_algebra(args) -> int:
+    from . import spans
+    from .chars import gauge_bookkeeping
     reports = {
         "neutrino": spans.neutrino_algebra_report(),
         "su2_u1": spans.su2_u1_split_report(),
@@ -240,6 +258,7 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_coincidence(args) -> int:
+    from . import coincidence
     rep = coincidence.report()
     lines = [
         f"1 + 1/(2*365.24) = {rep['np']['printed']}"

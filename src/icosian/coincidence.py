@@ -9,7 +9,7 @@ other module needs a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MASS_RATIO_NP = 1.001378    # neutron / proton
 MASS_RATIO_EP = 0.000544617  # electron / proton
@@ -27,8 +27,7 @@ def ep_coincidence() -> float:
     return math.sin(math.radians(TILT_DEGREES)) / (2 * DAYS_PER_YEAR)
 
 
-@dataclass(frozen=True)
-class TiltInversion:
+class TiltInversion(NamedTuple):
     sine: float
     degrees: float
 

@@ -9,9 +9,8 @@ conjugacy, subgroups, orbits) is integer index work on that graph.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
@@ -20,8 +19,7 @@ class ClosureError(RuntimeError):
     """Raised when a closure exceeds its cap or an input is inconsistent."""
 
 
-@dataclass(frozen=True)
-class ConjugacyPartition:
+class ConjugacyPartition(NamedTuple):
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
 
@@ -216,7 +214,9 @@ class FiniteGroup(Generic[T]):
 
         A set is a subgroup exactly when it equals the subgroup it generates.
         Each candidate closes ``generating_set(sub) + [x]``, which generates
-        the same subgroup as sub with x adjoined.
+        the same subgroup as sub with x adjoined.  One candidate per double
+        coset HxH is enough: <H, hxh'> = <H, x> for h, h' in H, since hxh'
+        lies in <H, x> and x = h^-1 (hxh') h'^-1 lies in <H, hxh'>.
         """
         gens = self.generating_set(sub)
         if self.subgroup_indices(gens) != sub:
@@ -224,11 +224,14 @@ class FiniteGroup(Generic[T]):
         n = len(self)
         if len(sub) == n:
             return False
+        t = self.table
+        decided = set(sub)
         for x in range(n):
-            if x in sub:
+            if x in decided:
                 continue
             if len(self.subgroup_indices(gens + [x])) != n:
                 return False
+            decided.update(t[t[h][x]][k] for h in sub for k in sub)
         return True
 
     # -- conjugation orbits ---------------------------------------------

@@ -7,7 +7,6 @@ order 12; theta = omega - omega^2 = i + j + k squares to -3.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -16,14 +15,32 @@ from .goldnum import Gold, ZERO as G_ZERO, SIGMA, TAU, integer_pairs
 from .groupkit import FiniteGroup
 
 
-@dataclass(frozen=True, slots=True)
 class Quat:
-    """w + x i + y j + z k with Gold coefficients."""
+    """w + x i + y j + z k with Gold coefficients; immutable, equal and
+    hashed by its four coefficients."""
 
-    w: Gold
-    x: Gold
-    y: Gold
-    z: Gold
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w: Gold, x: Gold, y: Gold, z: Gold):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Quat is immutable: cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Quat):
+            return (self.w == other.w and self.x == other.x
+                    and self.y == other.y and self.z == other.z)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.w, self.x, self.y, self.z))
+
+    def __repr__(self) -> str:
+        return f"Quat(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @staticmethod
     def of(w=0, x=0, y=0, z=0) -> "Quat":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .goldnum import Gold, integer_pairs
+from .goldnum import Gold
 from .groupkit import FiniteGroup
 from .linalg import rank
 from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
@@ -143,28 +143,25 @@ def diagonal_subgroup() -> frozenset[int]:
     return build_o1().subgroup_indices([word_index("g"), word_index("h")])
 
 
-def _left_mul_matrix(q: Quat) -> list[list[Gold]]:
-    a, b, c, d = q.w, q.x, q.y, q.z
-    return [
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ]
+# left multiplication by q = w + xi + yj + zk as a 4x4 matrix on (w, x, y, z):
+# entry (k, c) is sign * q[component] for the pair at position c of row k
+_LEFT_MUL = (
+    ((0, 1), (1, -1), (2, -1), (3, -1)),
+    ((1, 1), (0, 1), (3, -1), (2, 1)),
+    ((2, 1), (3, 1), (0, 1), (1, -1)),
+    ((3, 1), (2, -1), (1, 1), (0, 1)),
+)
 
 
 def fixed_space_dim(m: QMat2) -> int:
     """Golden-field dimension of {x : m x = x}: 8 minus the rank of the 8x8
-    exact system of m - 1."""
-    d = m - IDENTITY
-    blocks = [
-        (_left_mul_matrix(d.m11), _left_mul_matrix(d.m12)),
-        (_left_mul_matrix(d.m21), _left_mul_matrix(d.m22)),
-    ]
-    rows = []
-    for left, right in blocks:
-        for rl, rr in zip(left, right):
-            rows.append(integer_pairs(rl + rr)[0])
+    exact system of m - 1.  Each row is a signed permutation of one block
+    row's Z[sqrt5] integers (the left-multiplication rows of its two
+    entries), read straight off ``(m - 1).ints``."""
+    d = (m - IDENTITY).ints
+    rows = [[sign * d[start + 8 * half + 2 * c + part]
+             for half in (0, 1) for c, sign in pattern for part in (0, 1)]
+            for start in (0, 16) for pattern in _LEFT_MUL]
     return 8 - rank(rows)
 
 

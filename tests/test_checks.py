@@ -1,6 +1,10 @@
-from icosian import checks, reflgroup
-from icosian.chars import CharVector, char_table
-from icosian.checks import REGISTRY, Claimed, check
+import json
+
+import pytest
+
+from icosian import census, checks, reflgroup
+from icosian.chars import CharVector, GaugeBookkeeping, char_table
+from icosian.checks import REGISTRY, Claimed, VerificationReport, check
 from icosian.claim import Claim
 from icosian.goldnum import Gold
 from icosian.quat import Quat
@@ -17,6 +21,31 @@ def test_claim_to_json_is_the_report_dict():
 def test_claim_of_compares_values_and_keeps_their_text():
     assert Claim.of("dim", 16, 16) == Claim("dim", "16", "16", True)
     assert Claim.of("sizes", (3, 6, 6), (3, 3, 3, 6)).ok is False
+
+
+def test_records_keep_defaults_equality_and_hashing():
+    a = GaugeBookkeeping("v")
+    b = GaugeBookkeeping("v", (3, 3, 10, 21), (3, 1, 3, 8),
+                         ((2,), (1, 3, 3), (1, 6, 6)))
+    assert a == b and hash(a) == hash(b) and a != GaugeBookkeeping("w")
+    chi = CharVector((Gold(1), Gold(-1)))
+    assert chi == CharVector((Gold(1), Gold(-1)), None) != chi.relabel("x")
+    assert hash(chi) == hash(CharVector(chi.values))
+    claim = Claim.of("dim", 16, 16)
+    assert hash(claim) == hash(Claim("dim", "16", "16", True))
+    with pytest.raises(AttributeError):
+        claim.ok = False
+
+
+def test_records_serialised_through_default_are_not_tuples():
+    # json writes any tuple as an array without calling default=
+    report = VerificationReport((REGISTRY[0](),))
+    records = [Claim.of("x", 1, 1), report, CharVector((Gold(1),), "1"),
+               GaugeBookkeeping("v"), census.order3_census()]
+    for record in records:
+        assert not isinstance(record, tuple)
+        text = json.dumps(record, default=lambda obj: obj.to_json())
+        assert json.loads(text) == json.loads(json.dumps(record.to_json()))
 
 
 def test_check_passes_only_if_every_claim_holds(monkeypatch):

@@ -150,3 +150,18 @@ def test_equal_integers_over_different_denominators_differ():
 def test_matrices_are_immutable():
     with pytest.raises(AttributeError):
         IDENTITY.den = 2
+
+
+def test_spinors_are_immutable():
+    s = Spinor2(Q_ONE, Q_ZERO)
+    with pytest.raises(AttributeError):
+        s.c1 = Q_ZERO
+    assert s.c1 == Q_ONE
+
+
+@given(spinors)
+def test_equal_spinors_hash_equally(s):
+    # right scaling by one rebuilds both components by a Hamilton product
+    t = s.scale(Q_ONE)
+    assert t is not s and t == s and hash(t) == hash(s)
+    assert s != (s.c1, s.c2)

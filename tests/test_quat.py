@@ -143,3 +143,24 @@ def test_conj_fixes_real_part(q):
     r = q + q.conj()
     assert bool(r.w) or r == ZERO
     assert r.w == q.w * Gold(2)
+
+
+def test_quaternions_are_immutable():
+    q = Quat.of(1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        q.w = Gold(0)
+    assert q == Quat.of(1, 2, 3, 4)
+
+
+@given(quats)
+def test_equal_quaternions_hash_equally_and_differ_from_tuples(q):
+    p = q * ONE  # a new object by the integer kernel
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert q != (q.w, q.x, q.y, q.z)
+
+
+def test_integer_times_quaternion_is_not_repetition():
+    # the product is only q * scalar; a tuple type would repeat q twice
+    with pytest.raises(TypeError):
+        2 * I
+    assert I * 2 == Quat.of(0, 2)

@@ -1,4 +1,6 @@
+from icosian.goldnum import integer_pairs
 from icosian.groupkit import FiniteGroup
+from icosian.linalg import rank
 from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, Spinor2, spinor_norm2
 from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 from icosian.reflgroup import (
@@ -135,6 +137,35 @@ def test_fixed_space_dims():
     assert fixed_space_dim(g) == 4  # fixes the second coordinate line
     assert fixed_space_dim(IDENTITY) == 8
     assert fixed_space_dim(MINUS_IDENTITY) == 0
+
+
+def _left_mul_matrix(q: Quat):
+    a, b, c, d = q.w, q.x, q.y, q.z
+    return [
+        [a, -b, -c, -d],
+        [b, a, -d, c],
+        [c, d, a, -b],
+        [d, -c, b, a],
+    ]
+
+
+def _fixed_space_dim_by_gold(m):
+    """Reference: the 8x8 system of m - 1 built from Gold entries."""
+    d = m - IDENTITY
+    blocks = [
+        (_left_mul_matrix(d.m11), _left_mul_matrix(d.m12)),
+        (_left_mul_matrix(d.m21), _left_mul_matrix(d.m22)),
+    ]
+    rows = [integer_pairs(rl + rr)[0]
+            for left, right in blocks for rl, rr in zip(left, right)]
+    return 8 - rank(rows)
+
+
+def test_fixed_space_dim_matches_gold_reference_on_all_of_g():
+    g = build_o1()
+    dims = [fixed_space_dim(m) for m in g.elements]
+    assert dims == [_fixed_space_dim_by_gold(m) for m in g.elements]
+    assert sorted(set(dims)) == [0, 4, 8]
 
 
 def test_two_reflection_census_is_75_not_100():
