@@ -7,7 +7,9 @@ together with its sub-claims where it has any.  Exact checks compare
 structurally; the coincidence checks return the list of display-precision
 failures from the coincidence module.  Claims that the exact computation
 contradicts are flagged known_defect and stay in the registry as failures.
-run_checks drives the registry and is the engine behind `verify`.
+run_checks drives the registry and is the engine behind `verify`.  Each
+body imports the layers it reads, so running one family of checks loads
+only that family's modules.
 """
 from __future__ import annotations
 
@@ -15,26 +17,8 @@ from functools import reduce, wraps
 from operator import add
 from typing import NamedTuple
 
-from . import census, coincidence, spans
-from .chars import LABELS, char_table, format_decomposition, gauge_bookkeeping
 from .claim import Claim
-from .goldnum import Gold, dot
-from .qmat2 import IDENTITY, Spinor2
-from .quat import THETA, ZERO as Q_ZERO
 from .record import Record
-from .reflgroup import (
-    build_o1,
-    diagonal_subgroup,
-    gamma_group,
-    gamma_reflections,
-    generators,
-    group_reflections,
-    reflection_group,
-    reflection_matrices,
-    reflection_of,
-    roots,
-    two_reflection_census,
-)
 
 
 class CheckResult(NamedTuple):
@@ -137,6 +121,7 @@ def check(id_: str, description: str, claim: str, expected,
        " 12 and is maximal",
        (120, 12, True))
 def check_group_order():
+    from .reflgroup import build_o1, diagonal_subgroup
     g = build_o1()
     d = diagonal_subgroup()
     return len(g), len(d), g.is_maximal(d)
@@ -146,6 +131,7 @@ def check_group_order():
        "f^2 = (gh)^2 = h^2 = -1 and g^3 = (fg)^3 = (fh)^3 = 1",
        "all relations hold")
 def check_group_relations():
+    from .reflgroup import generators
     generators()  # raises unless all six relations hold
     return "all relations hold"
 
@@ -153,12 +139,14 @@ def check_group_relations():
 @check("roots.count", "number of distinct roots",
        "the 10 base spinors times 12 scalars give 120 distinct roots", 120)
 def check_roots_count():
+    from .reflgroup import roots
     return len({r for cls in roots() for r in cls})
 
 
 @check("roots.norm", "squared norm of every root",
        "every root has squared norm exactly 3", "0 exceptions")
 def check_roots_norm():
+    from .reflgroup import roots
     roots()  # raises unless every root has squared norm 3
     return "0 exceptions"
 
@@ -168,6 +156,10 @@ def check_roots_norm():
        " of (theta, 0) is g; the reflections generate the whole group",
        (20, [3], 10, True, True))
 def check_roots_reflections():
+    from .qmat2 import Spinor2
+    from .quat import THETA, ZERO as Q_ZERO
+    from .reflgroup import (build_o1, generators, group_reflections, reflection_group,
+                            reflection_matrices, reflection_of)
     g_full = build_o1()
     refl = sorted(g_full.index(m) for m in reflection_matrices())
     orders = {g_full.element_order(i) for i in refl}
@@ -187,6 +179,7 @@ def check_roots_reflections():
        " their negatives are)",
        100, known_defect=True)
 def check_roots_tworefl():
+    from .reflgroup import build_o1, two_reflection_census
     return two_reflection_census(build_o1())
 
 
@@ -196,6 +189,8 @@ def check_roots_tworefl():
        " squaring to +identity",
        (32, True, 10, True))
 def check_gamma_group():
+    from .qmat2 import IDENTITY
+    from .reflgroup import gamma_group, gamma_reflections
     found, listed = gamma_reflections()
     squares = all(m * m == IDENTITY for m in listed)
     return len(gamma_group()), set(found) == set(listed), len(found), squares
@@ -207,6 +202,7 @@ def check_gamma_group():
        ([1, 2, 2, 3, 3, 4, 4, 5, 6], 120, True,
         [1, 1, 12, 12, 12, 12, 20, 20, 30]))
 def check_chars_table():
+    from .chars import char_table
     ct = char_table()
     dims = sorted(chi.dim.na for chi in ct.irreducibles)
     ortho = all(
@@ -221,6 +217,8 @@ def check_chars_table():
        "columns of the table are orthogonal with squared length |G| / class"
        " size", True)
 def check_chars_columns():
+    from .chars import char_table
+    from .goldnum import Gold, dot
     ct = char_table()
     columns = list(zip(*(chi.values for chi in ct.irreducibles)))
     ones = [1] * len(ct.irreducibles)
@@ -237,6 +235,7 @@ def check_chars_columns():
        {"1": 1, "2a": -1, "2b": -1, "3a": 1, "3b": 1,
         "4a": 1, "4b": -1, "5": 1, "6": -1})
 def check_chars_fs():
+    from .chars import char_table
     ct = char_table()
     return {chi.label: ct.fs_indicator(chi) for chi in ct.irreducibles}
 
@@ -262,6 +261,7 @@ TENSOR_IDENTITIES = (
        "every quoted tensor identity holds with exact integer multiplicities",
        "no failures")
 def check_chars_tensor():
+    from .chars import char_table, format_decomposition
     ct = char_table()
     failures = []
     for left, right, want in TENSOR_IDENTITIES:
@@ -278,6 +278,7 @@ def check_chars_tensor():
        "the sqrt5 automorphism swaps 2a with 2b and 3a with 3b and fixes the"
        " other five characters", True)
 def check_chars_galois():
+    from .chars import LABELS, char_table
     ct = char_table()
     swaps = {"2a": "2b", "2b": "2a", "3a": "3b", "3b": "3a"}
     return all(
@@ -296,6 +297,7 @@ HYPERSPIN_EXPECTED = ("1", "2a", "3a", "4b", "5", "6", "3b+4a", "2b+6")
        " all nine irreducibles",
        (HYPERSPIN_EXPECTED, True))
 def check_hyperspin_table():
+    from .chars import LABELS, char_table, format_decomposition
     table = char_table().hyperspin_table(7)
     rows = tuple(format_decomposition(m) for _, m in table)
     covered = set()
@@ -309,6 +311,7 @@ def check_hyperspin_table():
        " gives 6; all displayed identities and corner tables hold",
        ((16, 3, 6, 16), []))
 def check_algebra_dims():
+    from . import spans
     dim_refl, dim_group = spans.reflection_dims()
     dims = (dim_refl, *spans.neutrino_dims(), dim_group)
     claims = (spans.neutrino_algebra_report() + spans.su2_u1_split_report()
@@ -322,6 +325,7 @@ def check_algebra_dims():
        " 3-orbits)",
        ("(3, 6, 6)", []), known_defect=True)
 def check_orbits_order4():
+    from . import census
     claims = census.order4_claims()
     failing = [c.name for c in claims if not c.ok]
     return Claimed((str(census.order4_census().orbit_sizes), failing), claims)
@@ -333,6 +337,7 @@ def check_orbits_order4():
        " couples whose products lie in the diagonal subgroup",
        (5, 2, True, True))
 def check_orbits_q8():
+    from . import census
     s = census.order4_structure()
     return (s["q8_total"], s["q8_normalized_by_g"],
             s["photon_orbit_fills_q8_pair"], s["product_matching"] is not None)
@@ -344,6 +349,7 @@ def check_orbits_q8():
        " pion-like and kaon-like families",
        "(1, 3, 6)")
 def check_orbits_order3():
+    from . import census
     return str(census.order3_census().orbit_sizes)
 
 
@@ -352,6 +358,7 @@ def check_orbits_order3():
        " all 24 sign-classes of order-5/10 elements",
        (6, 24, True))
 def check_orbits_order5():
+    from . import census
     c = census.order5_census()
     return c["cyclic_groups"], c["sign_classes_total"], c["covered"]
 
@@ -362,6 +369,7 @@ def check_orbits_order5():
        (10, 12, {"neutrino-like": 12, "electron-like": 36, "quark-like": 72},
         12, 6, True))
 def check_census_roots():
+    from . import census
     b = census.root_bookkeeping()
     return (b["classes"], b["class_size"], b["states_by_label"],
             b["scalar_group_order"], b["so3_image_order"],
@@ -373,6 +381,7 @@ def check_census_roots():
        " identically in both variants",
        (37, 15, 22, (2, 7, 13), 37, 15))
 def check_gauge_bookkeeping():
+    from .chars import gauge_bookkeeping
     a, b = gauge_bookkeeping()
     return a.total, a.kept, a.lost, a.lost_split, b.total, b.kept
 
@@ -381,6 +390,7 @@ def check_gauge_bookkeeping():
        "1 + 1/(2 * 365.24) prints as 1.001369 and sits within 1e-5 of the"
        " mass ratio 1.001378", [])
 def check_coincidence_np():
+    from . import coincidence
     return coincidence.np_failures()
 
 
@@ -388,6 +398,7 @@ def check_coincidence_np():
        "sin(23.44 deg)/(2 * 365.24) prints as 0.000544558, within 1e-7 of"
        " the mass ratio 0.000544617", [])
 def check_coincidence_ep():
+    from . import coincidence
     return coincidence.ep_failures()
 
 
@@ -395,6 +406,7 @@ def check_coincidence_ep():
        "sin(theta) = 2 * 365.24 * 0.000544617 = 0.3978318 gives theta ="
        " 23.442704 degrees = 23d 26m 33.7s", [])
 def check_coincidence_tilt():
+    from . import coincidence
     return coincidence.tilt_failures()
 
 

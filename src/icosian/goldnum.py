@@ -3,17 +3,22 @@
 A value is stored as (na + nb*sqrt5)/den with arbitrary-precision integers,
 normalized so den > 0 and gcd(na, nb, den) = 1.  Canonical form is enforced
 at construction, so structural equality is field equality and Gold values
-can be used directly as dictionary keys.  The rational components are
-exposed as Fractions via the ``a`` and ``b`` properties.
+can be used directly as dictionary keys; assigning a field raises
+AttributeError.  Printing, JSON and hashing read the three integers, so the
+``fractions`` module is imported only by the ``a`` and ``b`` properties,
+which expose the rational components as Fractions.
+
+``GoldVector`` holds a fixed-length vector of values the same way, as
+Z[sqrt5] integer pairs over one denominator; quaternions and quaternion
+matrices are GoldVectors.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
-from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
-Ratish = int | Fraction
+_set = object.__setattr__
 
 
 class Gold:
@@ -31,36 +36,41 @@ class Gold:
             na //= g
             nb //= g
             den //= g
-        self.na = na
-        self.nb = nb
-        self.den = den
+        _set(self, "na", na)
+        _set(self, "nb", nb)
+        _set(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Gold is immutable: cannot set {name!r}")
 
     @staticmethod
-    def of(a: Ratish, b: Ratish = 0) -> "Gold":
+    def of(a, b=0) -> "Gold":
+        """a + b*sqrt5 for ints or Fractions a and b."""
         for v in (a, b):
-            if not isinstance(v, (int, Fraction)):
+            if not (isinstance(v, int) or _is_rational(v)):
                 raise TypeError(f"Gold.of takes int or Fraction, not"
                                 f" {type(v).__name__}")
-        a = Fraction(a)
-        b = Fraction(b)
-        den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+        den = lcm(a.denominator, b.denominator)
         return Gold(a.numerator * (den // a.denominator),
                     b.numerator * (den // b.denominator), den)
 
     @property
-    def a(self) -> Fraction:
+    def a(self):
+        """The rational part, as a Fraction."""
+        from fractions import Fraction
         return Fraction(self.na, self.den)
 
     @property
-    def b(self) -> Fraction:
+    def b(self):
+        """The sqrt5 part, as a Fraction."""
+        from fractions import Fraction
         return Fraction(self.nb, self.den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Gold):
-            return self.na == other.na and self.nb == other.nb and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self == Gold.of(other)
-        return NotImplemented
+        other = as_gold(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.na == other.na and self.nb == other.nb and self.den == other.den
 
     def __hash__(self) -> int:
         # rational values hash as the int or Fraction they equal
@@ -68,13 +78,13 @@ class Gold:
             return hash((self.na, self.nb, self.den))
         if self.den == 1:
             return hash(self.na)
-        return _fraction_hash(self.na, self.den)
+        return _rational_hash(self.na, self.den)
 
     def __bool__(self) -> bool:
         return bool(self.na or self.nb)
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = as_gold(other)
         if other is NotImplemented:
             return NotImplemented
         return Gold(self.na * other.den + other.na * self.den,
@@ -84,7 +94,7 @@ class Gold:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = as_gold(other)
         if other is NotImplemented:
             return NotImplemented
         return Gold(self.na * other.den - other.na * self.den,
@@ -92,7 +102,7 @@ class Gold:
                     self.den * other.den)
 
     def __rsub__(self, other):
-        other = _coerce(other)
+        other = as_gold(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
@@ -101,7 +111,7 @@ class Gold:
         return Gold(-self.na, -self.nb, self.den)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = as_gold(other)
         if other is NotImplemented:
             return NotImplemented
         # (a + b*s5)(c + d*s5) = (ac + 5bd) + (ad + bc)*s5
@@ -119,13 +129,13 @@ class Gold:
         return Gold(self.den * self.na, -self.den * self.nb, n)
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other = as_gold(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
+        other = as_gold(other)
         if other is NotImplemented:
             return NotImplemented
         return other * self.inverse()
@@ -140,33 +150,39 @@ class Gold:
 
     def __str__(self) -> str:
         if self.nb == 0:
-            return _fmt_rat(self.a)
-        if self.b == 1:
+            return _fmt_rat(self.na, self.den)
+        if self.nb == self.den:
             root = "√5"
-        elif self.b == -1:
+        elif self.nb == -self.den:
             root = "-√5"
         else:
-            root = _fmt_rat(self.b) + "√5"
+            root = _fmt_rat(self.nb, self.den) + "√5"
         if self.na == 0:
             return root
         sep = "+" if not root.startswith("-") else ""
-        return _fmt_rat(self.a) + sep + root
+        return _fmt_rat(self.na, self.den) + sep + root
 
     def __repr__(self) -> str:
         return f"Gold({self.na}, {self.nb}, {self.den})"
 
     def to_json(self) -> dict:
-        return {
-            "a": [self.a.numerator, self.a.denominator],
-            "b": [self.b.numerator, self.b.denominator],
-        }
+        return {"a": _lowest(self.na, self.den), "b": _lowest(self.nb, self.den)}
 
 
-@lru_cache(maxsize=1024)
-def _fraction_hash(num: int, den: int) -> int:
-    # a few distinct denominators recur across a whole run; building the
-    # Fraction costs ten times the cache lookup
-    return hash(Fraction(num, den))
+_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _rational_hash(num: int, den: int) -> int:
+    """hash(Fraction(num, den)) for den > 0, by Python's documented rule
+    for numeric hashes: |num| / den reduced modulo the prime modulus, with
+    the sign of num, and the infinity hash when the modulus divides den."""
+    if den % _MODULUS == 0:
+        h = _HASH_INF
+    else:
+        h = abs(num) % _MODULUS * pow(den, -1, _MODULUS) % _MODULUS
+    h = h if num >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def integer_pairs(values: Sequence[Gold]) -> tuple[list[int], int]:
@@ -183,6 +199,59 @@ def integer_pairs(values: Sequence[Gold]) -> tuple[list[int], int]:
         f = den // v.den
         out += (v.na, v.nb) if f == 1 else (v.na * f, v.nb * f)
     return out, den
+
+
+class GoldVector:
+    """A vector of Q(sqrt5) values of fixed length, immutable.
+
+    The values are held as Z[sqrt5] integers in ``integer_pairs`` order
+    (``ints``) over one denominator (``den``), in canonical form: den > 0
+    and gcd(den, *ints) == 1.  So structural equality is value equality,
+    one tuple hash serves, and sums and negation run on the integers and
+    build no Gold.  Quaternions and quaternion matrices are GoldVectors;
+    vectors of different classes are never equal.
+    """
+
+    __slots__ = ("ints", "den")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable:"
+                             f" cannot set {name!r}")
+
+    @classmethod
+    def _canonical(cls, ints: tuple[int, ...], den: int):
+        """The vector with these ints over den, which are in canonical form."""
+        v = object.__new__(cls)
+        _set(v, "ints", ints)
+        _set(v, "den", den)
+        return v
+
+    @classmethod
+    def _reduced(cls, ints: Sequence[int], den: int):
+        """The vector with these ints over den > 0, by one gcd reduction."""
+        g = gcd(den, *ints)
+        if g > 1:
+            return cls._canonical(tuple([x // g for x in ints]), den // g)
+        return cls._canonical(tuple(ints), den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.den == other.den and self.ints == other.ints
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ints, self.den))
+
+    def __add__(self, other):
+        p, q = self.den, other.den
+        return self._reduced([x * q + y * p for x, y in zip(self.ints, other.ints)], p * q)
+
+    def __sub__(self, other):
+        p, q = self.den, other.den
+        return self._reduced([x * q - y * p for x, y in zip(self.ints, other.ints)], p * q)
+
+    def __neg__(self):
+        return self._canonical(tuple([-x for x in self.ints]), self.den)
 
 
 def dot(xs: Sequence[Gold], ys: Sequence[Gold], weights: Sequence[int],
@@ -207,20 +276,34 @@ def dot_pairs(x: Sequence[int], y: Sequence[int],
     return rat, root
 
 
-def _coerce(x):
+def as_gold(x):
+    """x as a Gold if it is a Gold, an int or a Fraction, else NotImplemented."""
     if isinstance(x, Gold):
         return x
     if isinstance(x, int):
         return Gold(x)
-    if isinstance(x, Fraction):
+    if _is_rational(x):
         return Gold(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
-def _fmt_rat(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+def _is_rational(x) -> bool:
+    """Whether x is a Fraction or another rational number type.  Gold and
+    int operands never reach this test, so ``numbers`` is imported only
+    where a Fraction or a float meets a Gold."""
+    from numbers import Rational
+    return isinstance(x, Rational)
+
+
+def _lowest(num: int, den: int) -> list[int]:
+    """[numerator, denominator] of num/den in lowest terms, as a Fraction has."""
+    g = gcd(num, den)
+    return [num // g, den // g]
+
+
+def _fmt_rat(num: int, den: int) -> str:
+    n, d = _lowest(num, den)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 ZERO = Gold(0)

@@ -6,9 +6,9 @@ conjugates its first argument.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
-from .goldnum import Gold, integer_pairs
+from .goldnum import Gold, GoldVector
 from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, from_integer_pairs, hamilton
 
 
@@ -53,29 +53,26 @@ def spinor_norm2(r: Spinor2) -> Quat:
     return inner(r, r)
 
 
-class QMat2:
+class QMat2(GoldVector):
     """A 2x2 matrix of quaternions over the golden field.
 
-    Its 16 coefficients (entries in reading order, each as w, x, y, z) are
-    held as 32 Z[sqrt5] integers in ``integer_pairs`` order over one
-    denominator, in canonical form: den > 0 and gcd(den, *ints) == 1.  So
-    structural equality is matrix equality, and the product, sums and Galois
-    map run on the integers and build no Gold.
+    A GoldVector of its 16 coefficients (entries in reading order, each as
+    w, x, y, z): 32 Z[sqrt5] integers over one denominator.  The product and
+    the Galois map run on the integers, as the sums do, and build no Gold;
+    the entries ``m11`` ... ``m22`` are built as Quats on demand.
     """
 
-    __slots__ = ("ints", "den")
+    __slots__ = ()
 
     def __init__(self, m11: Quat, m12: Quat, m21: Quat, m22: Quat):
-        # the least common denominator of canonical Golds leaves the whole
-        # list canonical: a prime of it divides the den of some value to the
-        # full power, and that value's pair is not divisible by it
-        ints, den = integer_pairs([c for q in (m11, m12, m21, m22)
-                                   for c in (q.w, q.x, q.y, q.z)])
-        object.__setattr__(self, "ints", tuple(ints))
+        # the least common denominator of canonical quaternions leaves the
+        # whole list canonical: a prime of it divides the den of some entry
+        # to the full power, and that entry's ints are not all divisible by it
+        entries = (m11, m12, m21, m22)
+        den = lcm(*[q.den for q in entries])
+        object.__setattr__(self, "ints", tuple([x * (den // q.den) for q in entries
+                                                for x in q.ints]))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QMat2 is immutable: cannot set {name!r}")
 
     @property
     def m11(self) -> Quat:
@@ -101,14 +98,6 @@ class QMat2:
     def offdiag(a: Quat, b: Quat) -> "QMat2":
         return QMat2(Q_ZERO, a, b, Q_ZERO)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QMat2):
-            return self.den == other.den and self.ints == other.ints
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ints, self.den))
-
     def __mul__(self, other):
         if isinstance(other, QMat2):
             # entry (r, c) is m_r1*n_1c + m_r2*n_2c; both Hamilton products
@@ -120,35 +109,23 @@ class QMat2:
                     u = hamilton(m[r:r + 8], n[c:c + 8])
                     v = hamilton(m[r + 8:r + 16], n[c + 16:c + 24])
                     out += [s + t for s, t in zip(u, v)]
-            return _reduced(out, self.den * other.den)
+            return QMat2._reduced(out, self.den * other.den)
         return NotImplemented
-
-    def __add__(self, other: "QMat2") -> "QMat2":
-        p, q = self.den, other.den
-        return _reduced([x * q + y * p for x, y in zip(self.ints, other.ints)], p * q)
-
-    def __sub__(self, other: "QMat2") -> "QMat2":
-        p, q = self.den, other.den
-        return _reduced([x * q - y * p for x, y in zip(self.ints, other.ints)], p * q)
-
-    def __neg__(self) -> "QMat2":
-        return _canonical(tuple([-x for x in self.ints]), self.den)
 
     def scale(self, s) -> "QMat2":
         """Left scalar multiplication (entrywise s * m_ij); s is a Quat or a
         golden-field scalar, which commutes with every entry."""
         if not isinstance(s, Quat):
             s = Quat.of(s)
-        u, q = integer_pairs((s.w, s.x, s.y, s.z))
-        m = self.ints
-        return _reduced([x for k in range(0, 32, 8) for x in hamilton(u, m[k:k + 8])],
-                        q * self.den)
+        u, m = s.ints, self.ints
+        return QMat2._reduced([x for k in range(0, 32, 8) for x in hamilton(u, m[k:k + 8])],
+                              s.den * self.den)
 
     def galois(self) -> "QMat2":
         """The sqrt5 -> -sqrt5 automorphism: the sqrt5 half of each pair negated."""
         ints = list(self.ints)
         ints[1::2] = [-b for b in ints[1::2]]
-        return _canonical(tuple(ints), self.den)
+        return QMat2._canonical(tuple(ints), self.den)
 
     def complex_char_trace(self) -> Gold:
         """2*(Re m11 + Re m22): the complex trace of the 4-dim complexification."""
@@ -161,22 +138,6 @@ class QMat2:
 
     def __repr__(self) -> str:
         return f"QMat2{self.key()}"
-
-
-def _canonical(ints: tuple[int, ...], den: int) -> QMat2:
-    """The matrix with these ints over den, which are in canonical form."""
-    m = object.__new__(QMat2)
-    object.__setattr__(m, "ints", ints)
-    object.__setattr__(m, "den", den)
-    return m
-
-
-def _reduced(ints: list[int], den: int) -> QMat2:
-    """The matrix with these ints over den > 0, by one gcd reduction."""
-    g = gcd(den, *ints)
-    if g > 1:
-        return _canonical(tuple([x // g for x in ints]), den // g)
-    return _canonical(tuple(ints), den)
 
 
 def flatten(m: QMat2) -> list[Gold]:

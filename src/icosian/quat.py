@@ -7,37 +7,48 @@ order 12; theta = omega - omega^2 = i + j + k squares to -3.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .goldnum import Gold, ZERO as G_ZERO, SIGMA, TAU, integer_pairs
+from .goldnum import Gold, GoldVector, ZERO as G_ZERO, SIGMA, TAU, as_gold, integer_pairs
 from .groupkit import FiniteGroup
 
 
-class Quat:
-    """w + x i + y j + z k with Gold coefficients; immutable, equal and
-    hashed by its four coefficients."""
+class Quat(GoldVector):
+    """w + x i + y j + z k over the golden field; immutable.
 
-    __slots__ = ("w", "x", "y", "z")
+    A GoldVector of its four coefficients: 8 Z[sqrt5] integers over one
+    denominator.  The product (one ``hamilton`` call and one gcd reduction)
+    and the conjugate run on the integers, as the sums do, and build no
+    Gold; the coefficients ``w``, ``x``, ``y``, ``z`` are built as Golds on
+    demand.
+    """
+
+    __slots__ = ()
 
     def __init__(self, w: Gold, x: Gold, y: Gold, z: Gold):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        # the least common denominator of canonical Golds leaves the whole
+        # list canonical: a prime of it divides the den of some value to the
+        # full power, and that value's pair is not divisible by it
+        ints, den = integer_pairs((w, x, y, z))
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Quat is immutable: cannot set {name!r}")
+    @property
+    def w(self) -> Gold:
+        return Gold(self.ints[0], self.ints[1], self.den)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Quat):
-            return (self.w == other.w and self.x == other.x
-                    and self.y == other.y and self.z == other.z)
-        return NotImplemented
+    @property
+    def x(self) -> Gold:
+        return Gold(self.ints[2], self.ints[3], self.den)
 
-    def __hash__(self) -> int:
-        return hash((self.w, self.x, self.y, self.z))
+    @property
+    def y(self) -> Gold:
+        return Gold(self.ints[4], self.ints[5], self.den)
+
+    @property
+    def z(self) -> Gold:
+        return Gold(self.ints[6], self.ints[7], self.den)
 
     def __repr__(self) -> str:
         return f"Quat(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"
@@ -46,29 +57,22 @@ class Quat:
     def of(w=0, x=0, y=0, z=0) -> "Quat":
         return Quat(_g(w), _g(x), _g(y), _g(z))
 
-    def __add__(self, other: "Quat") -> "Quat":
-        return Quat(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quat") -> "Quat":
-        return Quat(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quat":
-        return Quat(-self.w, -self.x, -self.y, -self.z)
-
     def __mul__(self, other):
         if isinstance(other, Quat):
-            u, p = integer_pairs((self.w, self.x, self.y, self.z))
-            v, q = integer_pairs((other.w, other.x, other.y, other.z))
-            return from_integer_pairs(hamilton(u, v), p * q)
-        if isinstance(other, (Gold, int, Fraction)):
-            s = _g(other)
-            return Quat(self.w * s, self.x * s, self.y * s, self.z * s)
-        return NotImplemented
+            return Quat._reduced(hamilton(self.ints, other.ints), self.den * other.den)
+        s = as_gold(other)
+        if s is NotImplemented:
+            return NotImplemented
+        # the product by the real quaternion Quat.of(s)
+        return Quat._reduced(hamilton(self.ints, (s.na, s.nb, 0, 0, 0, 0, 0, 0)),
+                             self.den * s.den)
 
     def conj(self) -> "Quat":
-        return Quat(self.w, -self.x, -self.y, -self.z)
+        ints = self.ints
+        return Quat._canonical(ints[:2] + tuple([-v for v in ints[2:]]), self.den)
 
     def norm2(self) -> Gold:
+        # summed on Golds, apart from the integer kernel: the tests' oracle
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __str__(self) -> str:
@@ -113,9 +117,9 @@ def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
 
 
 def from_integer_pairs(ints: Sequence[int], den: int) -> Quat:
-    """The quaternion whose 8 ``integer_pairs`` ints over den are given."""
-    return Quat(Gold(ints[0], ints[1], den), Gold(ints[2], ints[3], den),
-                Gold(ints[4], ints[5], den), Gold(ints[6], ints[7], den))
+    """The quaternion whose 8 ``integer_pairs`` ints over den > 0 are given,
+    reduced to canonical form by one gcd."""
+    return Quat._reduced(ints, den)
 
 
 def _g(v) -> Gold:
@@ -128,10 +132,10 @@ I = Quat.of(0, 1)
 J = Quat.of(0, 0, 1)
 K = Quat.of(0, 0, 0, 1)
 
-h2 = Fraction(1, 2)
-OMEGA = Quat.of(-h2, h2, h2, h2)
+HALF = Gold(1, 0, 2)
+OMEGA = Quat(-HALF, HALF, HALF, HALF)
 # (i - sigma j - tau k)/2; the 1/2 makes it a unit with PHI^2 = -1
-PHI = Quat(G_ZERO, Gold.of(h2), SIGMA * Gold.of(-h2), TAU * Gold.of(-h2))
+PHI = Quat(G_ZERO, HALF, -SIGMA * HALF, -TAU * HALF)
 THETA = OMEGA - OMEGA * OMEGA  # = i + j + k, squares to -3
 
 

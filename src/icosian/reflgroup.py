@@ -8,7 +8,6 @@ signature-(1,3) Clifford algebra.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
@@ -18,7 +17,7 @@ from .linalg import rank
 from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
-THIRD = Gold.of(Fraction(1, 3))
+THIRD = Gold(1, 0, 3)
 LETTERS = "fgh"  # the generators, in closure order
 
 
@@ -79,8 +78,9 @@ def roots() -> tuple[tuple[Spinor2, ...], ...]:
     scalars = scalar_group().elements
     classes = tuple(tuple(base.scale(s) for s in scalars) for base in base_spinors())
     flat = [sp for cls in classes for sp in cls]
+    three = Quat.of(3)
     for sp in flat:
-        if spinor_norm2(sp) != Quat.of(3):
+        if spinor_norm2(sp) != three:
             raise ValueError(f"root {sp} has squared norm != 3")
     if len(set(flat)) != len(flat):
         raise ValueError("duplicate root; scalar/spinor convention error")

@@ -67,7 +67,7 @@ def test_fixed_space_claim_compares_the_elements(monkeypatch):
     G = build_o1()
     order6 = [i for i in range(len(G)) if G.element_order(i) == 6]
     assert len(order6) == 20
-    monkeypatch.setattr(checks, "group_reflections", lambda group: order6)
+    monkeypatch.setattr(reflgroup, "group_reflections", lambda group: order6)
     run = next(fn for fn in REGISTRY if fn.id == "roots.reflections")
     r = run()
     assert r.actual == r.expected

@@ -1,10 +1,12 @@
 """A fresh `icosian` run loads only the modules its command reads.
 
 `import icosian.cli` loads the command line front end alone, and each
-command imports its layers inside its own function.  These checks run fresh
-interpreters, since the test session has every module loaded already.  No
-module of the package imports dataclasses: its import pulls in inspect, and
-each decorated class compiles its methods by exec on every import.
+command imports its layers inside its own function; so does each check of
+the registry.  No command imports ``fractions`` or ``decimal``.  These
+checks run fresh interpreters, since the test session has every module
+loaded already.  No module of the package imports dataclasses: its import
+pulls in inspect, and each decorated class compiles its methods by exec on
+every import.
 """
 import ast
 import json
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from icosian import checks
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -26,21 +30,32 @@ def loaded():
     return sorted(m for m in sys.modules if m == "icosian" or m.startswith("icosian."))
 from icosian.cli import main
 before = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     code = main(json.loads(sys.argv[1])) if sys.argv[1] != "null" else None
-print(json.dumps([before, loaded(), code]))
+print(json.dumps({"before": before, "after": loaded(), "code": code,
+                  "stdout": out.getvalue(), "modules": sorted(sys.modules)}))
 """
 
 
-def package_modules(argv):
-    """(modules after `import icosian.cli`, modules after main(argv), exit
-    code) in a fresh interpreter; argv None runs no command."""
+def fresh_run(argv) -> dict:
+    """A fresh interpreter's run of main(argv) (argv None runs no command):
+    the package modules loaded after `import icosian.cli` ("before") and
+    after the command ("after"), its exit code, what it printed, and every
+    module loaded at the end."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def package_modules(argv):
+    """(modules after `import icosian.cli`, modules after main(argv), exit
+    code) in a fresh interpreter; argv None runs no command."""
+    run = fresh_run(argv)
+    return run["before"], run["after"], run["code"]
 
 
 def test_import_cli_loads_only_the_cli():
@@ -62,6 +77,26 @@ def test_character_views_load_no_registry_census_spans_or_coincidence(argv):
     assert "icosian.chars" in after
     unused = {f"icosian.{m}" for m in ("checks", "census", "spans", "coincidence")}
     assert unused.isdisjoint(after)
+
+
+def test_verify_only_coincidence_loads_no_exact_layer():
+    run = fresh_run(["verify", "--only", "coincidence", "--json"])
+    exact = {f"icosian.{m}" for m in ("reflgroup", "groupkit", "goldnum", "quat",
+                                     "qmat2", "chars", "census", "spans")}
+    assert exact.isdisjoint(run["after"])
+    assert "icosian.coincidence" in run["after"]
+    # the same report as the registry gives with every layer loaded
+    report = checks.run_checks("coincidence")
+    assert run["code"] == (0 if report.ok else 1)
+    assert json.loads(run["stdout"]) == json.loads(json.dumps(report.to_json()))
+
+
+@pytest.mark.parametrize("argv", [["verify", "--json"], ["table", "--json"],
+                                  ["roots", "--full", "--json"]], ids=" ".join)
+def test_commands_import_no_fractions_or_decimal(argv):
+    run = fresh_run(argv)
+    assert run["code"] == (1 if argv[0] == "verify" else 0)
+    assert {"fractions", "decimal"}.isdisjoint(run["modules"])
 
 
 def dataclass_imports(tree: ast.AST) -> list[str]:

@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -133,3 +134,38 @@ numbers = st.one_of(
 def test_equal_values_hash_equal(x, y):
     if x == y:
         assert hash(x) == hash(y)
+
+
+def test_gold_is_immutable():
+    table = {Gold(1): "one"}
+    key = next(iter(table))
+    for name in ("na", "nb", "den"):
+        with pytest.raises(AttributeError):
+            setattr(key, name, 2)
+    assert (key.na, key.nb, key.den) == (1, 0, 1)
+    assert table[Gold(1)] == "one" and Gold(2) not in table
+
+
+MODULUS = sys.hash_info.modulus
+
+
+def test_rational_hash_is_the_fraction_hash():
+    nums = (-7, -1, 0, 1, 3, 2**200 + 1, -(3**150), MODULUS, -MODULUS, MODULUS - 1)
+    # a den that is a multiple of the modulus takes the infinity branch
+    dens = (1, 2, 3, 12, 10**40 + 7, MODULUS + 1, MODULUS, 2 * MODULUS, MODULUS**2)
+    assert hash(Gold(1, 0, MODULUS)) == sys.hash_info.inf
+    for num in nums:
+        for den in dens:
+            assert hash(Gold(num, 0, den)) == hash(Fraction(num, den)), (num, den)
+
+
+def test_printing_and_json_match_fractions():
+    for x in (Gold(-3, 6, 4), Gold(0, -2, 6), Gold(5, 5, 10), Gold(10**30, -1, 3)):
+        a, b = Fraction(x.na, x.den), Fraction(x.nb, x.den)
+        assert (x.a, x.b) == (a, b)
+        assert x.to_json() == {"a": [a.numerator, a.denominator],
+                               "b": [b.numerator, b.denominator]}
+    assert str(Gold(-3, 6, 4)) == "-3/4+3/2√5"
+    assert str(Gold(0, -2, 6)) == "-1/3√5"
+    assert str(Gold(5, 5, 10)) == "1/2+1/2√5"
+    assert str(Gold(3, 2, 2)) == "3/2+√5"

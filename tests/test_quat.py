@@ -1,3 +1,5 @@
+from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -164,3 +166,87 @@ def test_integer_times_quaternion_is_not_repetition():
     with pytest.raises(TypeError):
         2 * I
     assert I * 2 == Quat.of(0, 2)
+
+
+def g_entries() -> list[Quat]:
+    """The 480 quaternion entries of the elements of G."""
+    return [q for m in build_o1().elements for q in (m.m11, m.m12, m.m21, m.m22)]
+
+
+def assert_canonical(q: Quat):
+    assert len(q.ints) == 8 and q.den > 0 and gcd(q.den, *q.ints) == 1
+    rebuilt = Quat(q.w, q.x, q.y, q.z)
+    assert rebuilt == q and hash(rebuilt) == hash(q)
+    assert (rebuilt.ints, rebuilt.den) == (q.ints, q.den)
+
+
+def test_entries_of_g_are_canonical_and_round_trip():
+    entries = g_entries()
+    assert len(entries) == 480
+    for q in entries:
+        assert_canonical(q)
+
+
+def test_equal_quaternions_by_different_routes_are_equal_and_hash_equal():
+    third = Gold(1, 0, 3)
+    for q in g_entries()[::7] + [OMEGA, PHI, THETA, ZERO]:
+        for got in (q - q + q, q.conj().conj(), -(-q), q * Gold(3) * third,
+                    q * 3 * Fraction(1, 3), q * ONE, ONE * q):
+            assert_canonical(got)
+            assert got == q and hash(got) == hash(q)
+
+
+def test_equal_integers_over_different_denominators_differ():
+    half = ONE * Gold(1, 0, 2)
+    assert half.ints == ONE.ints and half.den == 2
+    assert half != ONE and half + half == ONE
+    assert OMEGA * 2 != OMEGA and (OMEGA * 2).ints == OMEGA.ints
+
+
+def test_integer_fields_are_immutable():
+    q = Quat.of(1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        q.ints = (0,) * 8
+    with pytest.raises(AttributeError):
+        q.den = 2
+    assert q == Quat.of(1, 2, 3, 4)
+
+
+def test_integer_quaternion_arithmetic_builds_no_gold(monkeypatch):
+    entries = g_entries()[:40]
+    built = []
+    init = Gold.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(Gold, "__init__", counting_init)
+    for p, q in zip(entries, entries[1:] + [OMEGA, PHI]):
+        p * q, p + q, p - q, -p, p.conj()
+    assert built == []
+
+
+def test_scalar_products_are_one_quaternion_product(monkeypatch):
+    calls = []
+    quat_mul = Quat.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return quat_mul(self, other)
+    monkeypatch.setattr(Quat, "__mul__", counted)
+    for q in (PHI, THETA, OMEGA):
+        for s in (Gold(1, 1, 2), Gold(-3), 2, -1, Fraction(2, 3)):
+            calls.clear()
+            got = q * s
+            assert calls == [s]
+            assert got == quat_mul(q, Quat.of(s))
+
+
+def test_norm2_is_summed_on_golds_not_by_the_kernel(monkeypatch):
+    def no_kernel(x, y):
+        raise AssertionError("norm2 went through hamilton")
+    monkeypatch.setattr(quat, "hamilton", no_kernel)
+    assert THETA.norm2() == Gold(3)
+    assert PHI.norm2() == OMEGA.norm2() == Gold(1)
+    assert Quat(Gold(1, 1, 2), Gold(1), Gold(0, 1, 3), Gold(2)).norm2() == \
+        Gold(1, 1, 2) * Gold(1, 1, 2) + Gold(5) + Gold(5, 0, 9)
