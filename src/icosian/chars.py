@@ -85,32 +85,48 @@ class CharTable:
         self.class_reps = tuple(min(c) for c in self.classes)
         self.irreducibles = self._build()
         self.by_label = {chi.label: chi for chi in self.irreducibles}
+        # decompose's irreducibles as Z[sqrt5] integers over one denominator
+        ys, self._irr_den = integer_pairs([v for irr in self.irreducibles for v in irr.values])
+        n = 2 * len(self.classes)
+        self._irr_ints = [ys[k:k + n] for k in range(0, len(ys), n)]
+        # hyperspin's 2a as integer pairs over 2; halving its recursion's
+        # products is exact when they lie in Z[phi], a = b mod 2
+        ints, den = integer_pairs(self.by_label["2a"].values)
+        self._two_a = [(c * 2 // den, d * 2 // den) for c, d in zip(ints[0::2], ints[1::2])]
+        self._two_a_in_z_phi = not (2 % den or any((c - d) % 2 for c, d in self._two_a))
 
     # -- construction ---------------------------------------------------
 
     def class_function(self, fn) -> CharVector:
         """Build a CharVector from an element-indexed function, checking
-        constancy on classes."""
+        constancy on classes.  fn(i) is (a, b, d), the value (a + b*sqrt5)/d
+        as Z[sqrt5] integers over d > 0, compared on the integers; one Gold
+        is built per class."""
         values = []
-        for cls in self.classes:
-            vals = {fn(i) for i in cls}
-            if len(vals) != 1:
-                raise ValueError("function is not constant on a conjugacy class")
-            values.append(vals.pop())
+        for cls, rep in zip(self.classes, self.class_reps):
+            a, b, d = fn(rep)
+            for i in cls:
+                x, y, e = fn(i)
+                if x * d != a * e or y * d != b * e:
+                    raise ValueError("function is not constant on a conjugacy class")
+            values.append(Gold(a, b, d))
         return CharVector(tuple(values))
 
     def _build(self) -> tuple[CharVector, ...]:
-        two = Gold(2)
+        lift = self.lift
         chi1 = CharVector(tuple(G_ONE for _ in self.classes), "1")
-        chi2a = self.class_function(lambda i: self.lift[i].w * two).relabel("2a")
+        # twice the real part w = (a + b*sqrt5)/d of the lift
+        chi2a = self.class_function(
+            lambda i: (2 * lift[i].ints[0], 2 * lift[i].ints[1], lift[i].den)
+        ).relabel("2a")
         chi2b = chi2a.galois().relabel("2b")
-        # conjugation action on pure quaternions: trace 4*Re(q)^2 - 1
-        chi3a = self.class_function(
-            lambda i: self.lift[i].w * self.lift[i].w * Gold(4) - G_ONE
-        ).relabel("3a")
+        # conjugation action on pure quaternions: trace 4*w^2 - 1, that is
+        # (4*(a^2 + 5*b^2) - d^2 + 8*a*b*sqrt5)/d^2
+        chi3a = self.class_function(lambda i: _trace_3a(*lift[i].ints[0:2], lift[i].den)
+                                    ).relabel("3a")
         chi3b = chi3a.galois().relabel("3b")
         chi4b = self.class_function(
-            lambda i: self.group.elements[i].complex_char_trace()
+            lambda i: _triple(self.group.elements[i].complex_char_trace())
         ).relabel("4b")
         chi4a = (chi2a * chi2b).relabel("4a")
         chi6 = (chi2b * chi3a).relabel("6")
@@ -134,13 +150,11 @@ class CharTable:
         is enforced.  One pass on Z[sqrt5] integers: with chi = x/p and the
         irreducibles y/q, the sum of m*y must equal x*q/p."""
         x, p = integer_pairs(chi.values)
-        ys, q = integer_pairs([v for irr in self.irreducibles for v in irr.values])
+        q = self._irr_den
         den = p * q * len(self.group)
-        n = len(x)
         mults: dict[str, int] = {}
-        recon = [0] * n
-        for k, irr in enumerate(self.irreducibles):
-            y = ys[k * n:(k + 1) * n]
+        recon = [0] * len(x)
+        for irr, y in zip(self.irreducibles, self._irr_ints):
             rat, root = dot_pairs(x, y, self.class_sizes)
             m, rest = divmod(rat, den)
             if root or rest or m < 0:
@@ -159,7 +173,8 @@ class CharTable:
         of the class function x -> chi(x^2) with the trivial character."""
         table = self.group.table
         class_of = self.partition.class_of
-        squares = self.class_function(lambda i: chi.values[class_of[table[i][i]]])
+        values = [_triple(v) for v in chi.values]
+        squares = self.class_function(lambda i: values[class_of[table[i][i]]])
         ind = self.inner(squares, self.by_label["1"])
         if not ind.is_integer or abs(ind.na) > 1:
             raise ValueError(f"indicator {ind} outside {{-1, 0, 1}}")
@@ -174,10 +189,9 @@ class CharTable:
         each product (ac + 5bd, ad + bc) is exact."""
         if two_j < 0:
             raise ValueError("two_j must be non-negative")
-        ints, den = integer_pairs(self.by_label["2a"].values)
-        x = [(c * 2 // den, d * 2 // den) for c, d in zip(ints[0::2], ints[1::2])]
-        if 2 % den or any((c - d) % 2 for c, d in x):
+        if not self._two_a_in_z_phi:
             raise ValueError("character 2a takes a value outside Z[phi]")
+        x = self._two_a
         prev, cur = [(0, 0)] * len(x), [(2, 0)] * len(x)  # 2j = -1 and 2j = 0
         for _ in range(two_j):
             prev, cur = cur, [((a * c + 5 * b * d) // 2 - a0, (a * d + b * c) // 2 - b0)
@@ -199,6 +213,14 @@ class CharTable:
             ],
             "irreducibles": [chi.to_json() for chi in self.irreducibles],
         }
+
+
+def _triple(v: Gold) -> tuple[int, int, int]:
+    return v.na, v.nb, v.den
+
+
+def _trace_3a(a: int, b: int, d: int) -> tuple[int, int, int]:
+    return 4 * (a * a + 5 * b * b) - d * d, 8 * a * b, d * d
 
 
 @cache

@@ -6,6 +6,7 @@ conjugates its first argument.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import lcm
 
 from .goldnum import Gold, GoldVector
@@ -57,9 +58,10 @@ class QMat2(GoldVector):
     """A 2x2 matrix of quaternions over the golden field.
 
     A GoldVector of its 16 coefficients (entries in reading order, each as
-    w, x, y, z): 32 Z[sqrt5] integers over one denominator.  The product and
-    the Galois map run on the integers, as the sums do, and build no Gold;
-    the entries ``m11`` ... ``m22`` are built as Quats on demand.
+    w, x, y, z): 32 Z[sqrt5] integers over one denominator.  The product
+    (one ``hamilton_dot`` call per entry and one gcd reduction) and the Galois
+    map run on the integers, as the sums do, and build no Gold; the entries
+    ``m11`` ... ``m22`` are built as Quats on demand.
     """
 
     __slots__ = ()
@@ -100,16 +102,14 @@ class QMat2(GoldVector):
 
     def __mul__(self, other):
         if isinstance(other, QMat2):
-            # entry (r, c) is m_r1*n_1c + m_r2*n_2c; both Hamilton products
-            # are over p*q, so they add as integers before one reduction
+            # entry (r, c) is the row m_r1, m_r2 dotted with the column n_1c,
+            # n_2c; rows are contiguous in ints, columns are 16 ints apart
             m, n = self.ints, other.ints
-            out = []
-            for r in (0, 16):  # m_r1 starts at r, m_r2 at r + 8
-                for c in (0, 8):  # n_1c starts at c, n_2c at c + 16
-                    u = hamilton(m[r:r + 8], n[c:c + 8])
-                    v = hamilton(m[r + 8:r + 16], n[c + 16:c + 24])
-                    out += [s + t for s, t in zip(u, v)]
-            return QMat2._reduced(out, self.den * other.den)
+            r1, r2 = m[:16], m[16:]
+            c1, c2 = n[0:8] + n[16:24], n[8:16] + n[24:32]
+            return QMat2._reduced(hamilton_dot(r1, c1) + hamilton_dot(r1, c2)
+                                  + hamilton_dot(r2, c1) + hamilton_dot(r2, c2),
+                                  self.den * other.den)
         return NotImplemented
 
     def scale(self, s) -> "QMat2":
@@ -138,6 +138,37 @@ class QMat2(GoldVector):
 
     def __repr__(self) -> str:
         return f"QMat2{self.key()}"
+
+
+def hamilton_dot(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    """x1*y1 + x2*y2 for quaternions x = (x1, x2) and y = (y1, y2), on Z[sqrt5]
+    integers: one entry of a QMat2 product.
+
+    x and y hold two quaternions each in the ``quat.hamilton`` format, 16 ints
+    over a common denominator; the result is the sum's 8 ints over the product
+    of the two denominators.  Each product's terms are ``hamilton``'s (upper
+    case for the second), summed before the one multiplication by 5.
+    """
+    a, a5, b, b5, c, c5, d, d5, A, A5, B, B5, C, C5, D, D5 = x
+    e, e5, f, f5, g, g5, h, h5, E, E5, F, F5, G, G5, H, H5 = y
+    return (
+        a*e - b*f - c*g - d*h + A*E - B*F - C*G - D*H
+        + 5 * (a5*e5 - b5*f5 - c5*g5 - d5*h5 + A5*E5 - B5*F5 - C5*G5 - D5*H5),
+        a*e5 + a5*e - b*f5 - b5*f - c*g5 - c5*g - d*h5 - d5*h
+        + A*E5 + A5*E - B*F5 - B5*F - C*G5 - C5*G - D*H5 - D5*H,
+        a*f + b*e + c*h - d*g + A*F + B*E + C*H - D*G
+        + 5 * (a5*f5 + b5*e5 + c5*h5 - d5*g5 + A5*F5 + B5*E5 + C5*H5 - D5*G5),
+        a*f5 + a5*f + b*e5 + b5*e + c*h5 + c5*h - d*g5 - d5*g
+        + A*F5 + A5*F + B*E5 + B5*E + C*H5 + C5*H - D*G5 - D5*G,
+        a*g - b*h + c*e + d*f + A*G - B*H + C*E + D*F
+        + 5 * (a5*g5 - b5*h5 + c5*e5 + d5*f5 + A5*G5 - B5*H5 + C5*E5 + D5*F5),
+        a*g5 + a5*g - b*h5 - b5*h + c*e5 + c5*e + d*f5 + d5*f
+        + A*G5 + A5*G - B*H5 - B5*H + C*E5 + C5*E + D*F5 + D5*F,
+        a*h + b*g - c*f + d*e + A*H + B*G - C*F + D*E
+        + 5 * (a5*h5 + b5*g5 - c5*f5 + d5*e5 + A5*H5 + B5*G5 - C5*F5 + D5*E5),
+        a*h5 + a5*h + b*g5 + b5*g - c*f5 - c5*f + d*e5 + d5*e
+        + A*H5 + A5*H + B*G5 + B5*G - C*F5 - C5*F + D*E5 + D5*E,
+    )
 
 
 def flatten(m: QMat2) -> list[Gold]:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icosian.chars import (
-    CharVector, LABELS, build_quat_lift, char_table, format_decomposition,
+    CharTable, CharVector, LABELS, build_quat_lift, char_table, format_decomposition,
     gauge_bookkeeping,
 )
 from icosian.goldnum import Gold, dot
@@ -171,15 +171,23 @@ def test_decompose_rejects_non_character():
         table.decompose(bogus)
 
 
+def table_with(monkeypatch, label, chi):
+    """A fresh table whose irreducible `label` is chi, swapped in after the
+    construction's own checks: the integer forms that decompose and
+    hyperspin keep from the construction see the swap."""
+    build = CharTable._build
+    monkeypatch.setattr(CharTable, "_build", lambda self: tuple(
+        chi if irr.label == label else irr for irr in build(self)))
+    return CharTable(build_o1())
+
+
 def test_decompose_rejects_a_failed_reconstruction(monkeypatch):
     # with 5 listed twice and 6 missing, every multiplicity of 6 is a
     # non-negative integer (all 0), and only the reconstruction catches it
-    table = ct()
-    irr = tuple(table.by_label["5"] if chi.label == "6" else chi
-                for chi in table.irreducibles)
-    monkeypatch.setattr(table, "irreducibles", irr)
+    table = table_with(monkeypatch, "6", ct().by_label["5"])
+    assert [chi.label for chi in table.irreducibles].count("5") == 2
     with pytest.raises(ValueError, match="reconstruct"):
-        table.decompose(table.by_label["6"])
+        table.decompose(ct().by_label["6"])
 
 
 def test_hyperspin_rows():
@@ -252,9 +260,10 @@ def test_hyperspin_rejects_negative():
 
 def test_hyperspin_rejects_a_2a_value_outside_z_phi(monkeypatch):
     # halving the recursion's products is exact only on Z[phi]
-    table = ct()
-    half = CharVector((Gold(1, 0, 2),) + table.by_label["2a"].values[1:], "2a")
-    monkeypatch.setitem(table.by_label, "2a", half)
+    two_a = ct().by_label["2a"]
+    half = CharVector((Gold(1, 0, 2),) + two_a.values[1:], "2a")
+    table = table_with(monkeypatch, "2a", half)
+    assert table.by_label["2a"] == half
     with pytest.raises(ValueError, match="outside Z"):
         table.hyperspin(3)
 

@@ -57,35 +57,38 @@ def primitive(a, b):
 
 
 class PerStepPrimitiveEchelon:
-    """The integer elimination that makes v primitive after every step; its
-    rows, interleaved in ``integer_pairs`` order, are Echelon's reference."""
+    """The integer elimination that makes v primitive after every step and,
+    like Echelon, stops at the first nonzero column that has no row; its
+    rows, interleaved in ``integer_pairs`` order and stored from the pivot
+    on under their pivot column, are Echelon's reference."""
 
-    def __init__(self):
-        self.rows, self.pivots = [], []
+    def __init__(self, width):
+        self.rows = [None] * width
 
     def add(self, vec):
         ints, _ = integer_pairs(vec)
         a, b = ints[0::2], ints[1::2]
-        for (ra, rb), p in zip(self.rows, self.pivots):
-            c, d = a[p], b[p]
-            if c or d:
-                n = ra[p]
-                a, b = primitive([n * x - c * y - 5 * d * z for x, y, z in zip(a, ra, rb)],
-                                 [n * x - c * z - d * y for x, y, z in zip(b, ra, rb)])
-        pivot = next((i for i, (x, y) in enumerate(zip(a, b)) if x or y), None)
-        if pivot is None:
+        for pivot in range(len(a)):
+            c, d = a[pivot], b[pivot]
+            if not (c or d):
+                continue
+            if self.rows[pivot] is None:
+                break
+            ra, rb = self.rows[pivot]
+            n = ra[pivot]
+            a, b = primitive([n * x - c * y - 5 * d * z for x, y, z in zip(a, ra, rb)],
+                             [n * x - c * z - d * y for x, y, z in zip(b, ra, rb)])
+        else:
             return
         c, d = a[pivot], b[pivot]
         if c * c - 5 * d * d < 0:
             c, d = -c, -d
-        row = primitive([c * x - 5 * d * y for x, y in zip(a, b)],
-                        [c * y - d * x for x, y in zip(a, b)])
-        pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.rows))
-        self.rows.insert(pos, row)
-        self.pivots.insert(pos, pivot)
+        self.rows[pivot] = primitive([c * x - 5 * d * y for x, y in zip(a, b)],
+                                     [c * y - d * x for x, y in zip(a, b)])
 
-    def interleaved_rows(self):
-        return [[x for pair in zip(a, b) for x in pair] for a, b in self.rows]
+    def stored_rows(self):
+        return [None if row is None else [x for pair in zip(*row) for x in pair][2 * p:]
+                for p, row in enumerate(self.rows)]
 
 
 def combine(coeffs, rows):
@@ -111,16 +114,48 @@ def planted_systems(draw):
 def test_elimination_agrees_with_reference(system):
     rows, probes = system
     ref, ech = ReferenceEchelon(), Echelon(len(rows[0]))
-    per_step = PerStepPrimitiveEchelon()
+    per_step = PerStepPrimitiveEchelon(len(rows[0]))
     for row in rows:
         assert ech.add(ints(row)) == ref.add(row)
         per_step.add(row)
     assert rank([ints(row) for row in rows]) == ech.dim == len(ref.rows)
     # one content gcd per new row leaves the stored rows as they are when v
     # is made primitive after every elimination step
-    assert ech.rows == per_step.interleaved_rows()
+    assert ech.rows == per_step.stored_rows()
     for p in probes + rows:
         assert ech.contains(ints(p)) == ref.contains(p)
+
+
+def test_a_free_column_before_a_later_pivot_becomes_the_pivot():
+    # v is nonzero at column 1, which has no row, before the row with pivot
+    # 2: elimination stops there, so v is stored as it came, not reduced
+    # against that later row
+    ech, ref = Echelon(4), ReferenceEchelon()
+    later = [ZERO, ZERO, Gold(1), Gold(0, 1)]
+    v = [ZERO, Gold(1, 1, 2), Gold(2, 1), Gold(1)]
+    assert ech.add(ints(later)) and ref.add(later)
+    assert not ech.contains(ints(v)) and not ref.contains(v)
+    assert ech.add(ints(v)) and ref.add(v)
+    assert [p for p, row in enumerate(ech.rows) if row] == [1, 2]
+    row = ech.rows[1]
+    assert len(row) == 6 and row[0] > 0 and row[1] == 0 and any(row[2:4])
+    # v's integers over 2 times sqrt5 - 1 (minus the pivot's conjugate, so
+    # that the pivot is 4 > 0), from column 1 on and made primitive
+    assert row == [2, 0, 3, 1, -1, 1]
+    tau = Gold(1, 1, 2)
+    probes = [
+        [a + b for a, b in zip(v, later)],
+        [x * tau for x in v],
+        [Gold(0), Gold(0), Gold(0), Gold(3, -1, 2)],
+        [Gold(0), Gold(1), Gold(0), Gold(0)],
+        [Gold(2), Gold(1), Gold(0, 1), Gold(1)],
+        [Gold(1), Gold(0), Gold(0), Gold(0)],
+        [Gold(0), Gold(0), Gold(0), Gold(1)],
+    ]
+    for p in probes:
+        assert ech.contains(ints(p)) == ref.contains(p)
+        assert ech.add(ints(p)) == ref.add(p)
+    assert ech.dim == len(ref.rows) == 4
 
 
 @given(st.integers(1, 6).flatmap(lambda w: st.tuples(

@@ -42,6 +42,21 @@ def test_product_matches_entrywise_formula(a, b):
     assert a * b == entrywise_product(a, b)
 
 
+E12 = QMat2(Q_ZERO, Q_ONE, Q_ZERO, Q_ZERO)
+E21 = QMat2(Q_ZERO, Q_ZERO, Q_ONE, Q_ZERO)
+
+
+def test_product_kernel_matches_entrywise_route_on_fixed_pairs():
+    elements = list(build_o1().elements)
+    for m, n in zip(elements, elements[7:] + elements[:7]):
+        assert m * n == entrywise_product(m, n)
+    fixed = (THIRDS, QUARTERS, E12, E21)
+    for m in fixed:
+        for n in fixed:
+            assert m * n == entrywise_product(m, n)
+    assert E12 * E21 == QMat2.diag(Q_ONE, Q_ZERO) and E21 * E21 == ZERO_MAT
+
+
 def test_generator_edge_products_match_entrywise_formula():
     group, gens = build_o1(), generators()
     for x in group.elements:
