@@ -114,16 +114,21 @@ class CharTable:
 
     def _build(self) -> tuple[CharVector, ...]:
         lift = self.lift
+
+        def two_w(i):
+            # twice the real part w = (a + b*sqrt5)/d of the lift
+            (a, b), d = lift[i].ints[0:2], lift[i].den
+            return 2 * a, 2 * b, d
+
+        def trace_3a(i):
+            # conjugation action on pure quaternions: trace 4*w^2 - 1
+            (a, b), d = lift[i].ints[0:2], lift[i].den
+            return 4 * (a * a + 5 * b * b) - d * d, 8 * a * b, d * d
+
         chi1 = CharVector(tuple(G_ONE for _ in self.classes), "1")
-        # twice the real part w = (a + b*sqrt5)/d of the lift
-        chi2a = self.class_function(
-            lambda i: (2 * lift[i].ints[0], 2 * lift[i].ints[1], lift[i].den)
-        ).relabel("2a")
+        chi2a = self.class_function(two_w).relabel("2a")
         chi2b = chi2a.galois().relabel("2b")
-        # conjugation action on pure quaternions: trace 4*w^2 - 1, that is
-        # (4*(a^2 + 5*b^2) - d^2 + 8*a*b*sqrt5)/d^2
-        chi3a = self.class_function(lambda i: _trace_3a(*lift[i].ints[0:2], lift[i].den)
-                                    ).relabel("3a")
+        chi3a = self.class_function(trace_3a).relabel("3a")
         chi3b = chi3a.galois().relabel("3b")
         chi4b = self.class_function(
             lambda i: _triple(self.group.elements[i].complex_char_trace())
@@ -216,11 +221,8 @@ class CharTable:
 
 
 def _triple(v: Gold) -> tuple[int, int, int]:
+    """v as the (a, b, d) of ``CharTable.class_function``."""
     return v.na, v.nb, v.den
-
-
-def _trace_3a(a: int, b: int, d: int) -> tuple[int, int, int]:
-    return 4 * (a * a + 5 * b * b) - d * d, 8 * a * b, d * d
 
 
 @cache
