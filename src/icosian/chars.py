@@ -5,12 +5,18 @@ lift gives the two 2-dimensional characters (swapped by the golden Galois
 map), the conjugation action on pure quaternions gives the 3-dimensional
 ones, the matrix representation itself gives 4b, and the remaining three are
 defined by tensor products and validated by exact orthonormality.
+
+A class function is a ``CharVector``, a GoldVector of its nine values: 18
+Z[sqrt5] integers over one denominator, in class order.  Construction,
+products, sums, the Galois map, inner products, decomposition and branching
+all run on those integers; the irreducibles are kept in ``LABELS`` order.
 """
 from __future__ import annotations
 
 from functools import cache
+from math import lcm
 
-from .goldnum import Gold, ONE as G_ONE, dot, dot_pairs, integer_pairs
+from .goldnum import Gold, GoldVector, ONE as G_ONE, dot_pairs, flatten, gold_str
 from .groupkit import FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
@@ -20,36 +26,18 @@ from .reflgroup import build_o1, word_string
 LABELS = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "5", "6")
 
 
-class CharVector(Record):
-    """A class function with Gold values, one per conjugacy class."""
+class CharVector(GoldVector):
+    """A class function: one value per conjugacy class, in class order."""
 
-    __slots__ = ("values", "label")
-
-    def __init__(self, values: tuple[Gold, ...], label: str | None = None):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "label", label)
-
-    @property
-    def dim(self) -> Gold:
-        return self.values[0]  # identity class is first
-
-    def __add__(self, other: "CharVector") -> "CharVector":
-        return CharVector(tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "CharVector") -> "CharVector":
-        return CharVector(tuple(a - b for a, b in zip(self.values, other.values)))
+    __slots__ = ()
 
     def __mul__(self, other: "CharVector") -> "CharVector":
-        return CharVector(tuple(a * b for a, b in zip(self.values, other.values)))
-
-    def galois(self) -> "CharVector":
-        return CharVector(tuple(v.galois() for v in self.values))
-
-    def relabel(self, label: str) -> "CharVector":
-        return CharVector(self.values, label)
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "values": [v.to_json() for v in self.values]}
+        # pointwise (a + b*sqrt5)(c + d*sqrt5) = (ac + 5bd) + (ad + bc)*sqrt5
+        x, y = self.ints, other.ints
+        out = []
+        for a, b, c, d in zip(x[0::2], x[1::2], y[0::2], y[1::2]):
+            out += (a * c + 5 * b * d, a * d + b * c)
+        return CharVector._reduced(out, self.den * other.den)
 
 
 def build_quat_lift(group: FiniteGroup[QMat2]) -> tuple[Quat, ...]:
@@ -84,24 +72,14 @@ class CharTable:
         self.class_orders = tuple(group.element_order(min(c)) for c in self.classes)
         self.class_reps = tuple(min(c) for c in self.classes)
         self.irreducibles = self._build()
-        self.by_label = {chi.label: chi for chi in self.irreducibles}
-        # decompose's irreducibles as Z[sqrt5] integers over one denominator
-        ys, self._irr_den = integer_pairs([v for irr in self.irreducibles for v in irr.values])
-        n = 2 * len(self.classes)
-        self._irr_ints = [ys[k:k + n] for k in range(0, len(ys), n)]
-        # hyperspin's 2a as integer pairs over 2; halving its recursion's
-        # products is exact when they lie in Z[phi], a = b mod 2
-        ints, den = integer_pairs(self.by_label["2a"].values)
-        self._two_a = [(c * 2 // den, d * 2 // den) for c, d in zip(ints[0::2], ints[1::2])]
-        self._two_a_in_z_phi = not (2 % den or any((c - d) % 2 for c, d in self._two_a))
+        self.by_label = dict(zip(LABELS, self.irreducibles))
 
     # -- construction ---------------------------------------------------
 
     def class_function(self, fn) -> CharVector:
         """Build a CharVector from an element-indexed function, checking
         constancy on classes.  fn(i) is (a, b, d), the value (a + b*sqrt5)/d
-        as Z[sqrt5] integers over d > 0, compared on the integers; one Gold
-        is built per class."""
+        as Z[sqrt5] integers over d > 0, compared on the integers."""
         values = []
         for cls, rep in zip(self.classes, self.class_reps):
             a, b, d = fn(rep)
@@ -109,11 +87,13 @@ class CharTable:
                 x, y, e = fn(i)
                 if x * d != a * e or y * d != b * e:
                     raise ValueError("function is not constant on a conjugacy class")
-            values.append(Gold(a, b, d))
-        return CharVector(tuple(values))
+            values.append((a, b, d))
+        den = lcm(*[d for _, _, d in values])
+        return CharVector._reduced([v * (den // d) for a, b, d in values for v in (a, b)], den)
 
     def _build(self) -> tuple[CharVector, ...]:
-        lift = self.lift
+        """The irreducibles in LABELS order."""
+        lift, elements = self.lift, self.group.elements
 
         def two_w(i):
             # twice the real part w = (a + b*sqrt5)/d of the lift
@@ -125,22 +105,24 @@ class CharTable:
             (a, b), d = lift[i].ints[0:2], lift[i].den
             return 4 * (a * a + 5 * b * b) - d * d, 8 * a * b, d * d
 
-        chi1 = CharVector(tuple(G_ONE for _ in self.classes), "1")
-        chi2a = self.class_function(two_w).relabel("2a")
-        chi2b = chi2a.galois().relabel("2b")
-        chi3a = self.class_function(trace_3a).relabel("3a")
-        chi3b = chi3a.galois().relabel("3b")
-        chi4b = self.class_function(
-            lambda i: _triple(self.group.elements[i].complex_char_trace())
-        ).relabel("4b")
-        chi4a = (chi2a * chi2b).relabel("4a")
-        chi6 = (chi2b * chi3a).relabel("6")
-        chi5 = (chi2b * chi4b - chi3b).relabel("5")
+        def trace_4b(i):
+            # 2*(Re m11 + Re m22): the trace of the 4-dim complexification
+            m = elements[i].ints
+            return 2 * (m[0] + m[24]), 2 * (m[1] + m[25]), elements[i].den
+
+        chi1 = CharVector([G_ONE] * len(self.classes))
+        chi2a = self.class_function(two_w)
+        chi2b = chi2a.galois()
+        chi3a = self.class_function(trace_3a)
+        chi3b = chi3a.galois()
+        chi4b = self.class_function(trace_4b)
+        chi4a = chi2a * chi2b
+        chi5 = chi2b * chi4b - chi3b
+        chi6 = chi2b * chi3a
         irr = (chi1, chi2a, chi2b, chi3a, chi3b, chi4a, chi4b, chi5, chi6)
-        irr = tuple(sorted(irr, key=lambda c: LABELS.index(c.label)))
-        for chi in irr:
+        for label, chi in zip(LABELS, irr):
             if self.inner(chi, chi) != G_ONE:
-                raise ValueError(f"character {chi.label} is not irreducible")
+                raise ValueError(f"character {label} is not irreducible")
         return irr
 
     # -- arithmetic -----------------------------------------------------
@@ -148,28 +130,30 @@ class CharTable:
     def inner(self, chi: CharVector, psi: CharVector) -> Gold:
         """(1/|G|) sum over classes of size * chi * psi (real-valued table),
         summed on Z[sqrt5] integers."""
-        return dot(chi.values, psi.values, self.class_sizes, len(self.group))
+        return Gold(*dot_pairs(chi.ints, psi.ints, self.class_sizes),
+                    chi.den * psi.den * len(self.group))
 
     def decompose(self, chi: CharVector) -> dict[str, int]:
         """Multiplicities of the irreducibles in chi; exact reconstruction
-        is enforced.  One pass on Z[sqrt5] integers: with chi = x/p and the
-        irreducibles y/q, the sum of m*y must equal x*q/p."""
-        x, p = integer_pairs(chi.values)
-        q = self._irr_den
-        den = p * q * len(self.group)
+        is enforced.  One pass on Z[sqrt5] integers: with chi = x/p and each
+        irreducible y/q, its multiplicity is the sum of size*x*y over p*q*|G|;
+        the sum of m*y, over the least common q, must equal chi."""
+        x, p = chi.ints, chi.den
+        den = lcm(*[irr.den for irr in self.irreducibles])
         mults: dict[str, int] = {}
         recon = [0] * len(x)
-        for irr, y in zip(self.irreducibles, self._irr_ints):
-            rat, root = dot_pairs(x, y, self.class_sizes)
-            m, rest = divmod(rat, den)
+        for label, irr in zip(LABELS, self.irreducibles):
+            rat, root = dot_pairs(x, irr.ints, self.class_sizes)
+            n = p * irr.den * len(self.group)
+            m, rest = divmod(rat, n)
             if root or rest or m < 0:
-                raise ValueError(f"multiplicity of {irr.label} is"
-                                 f" {Gold(rat, root, den)}, not a non-negative"
-                                 " integer")
+                raise ValueError(f"multiplicity of {label} is {gold_str(rat, root, n)},"
+                                 " not a non-negative integer")
             if m:
-                mults[irr.label] = m
-                recon = [r + m * v for r, v in zip(recon, y)]
-        if [r * p for r in recon] != [v * q for v in x]:
+                mults[label] = m
+                f = m * (den // irr.den)
+                recon = [r + f * v for r, v in zip(recon, irr.ints)]
+        if [r * p for r in recon] != [v * den for v in x]:
             raise ValueError("decomposition does not reconstruct the character")
         return mults
 
@@ -178,8 +162,8 @@ class CharTable:
         of the class function x -> chi(x^2) with the trivial character."""
         table = self.group.table
         class_of = self.partition.class_of
-        values = [_triple(v) for v in chi.values]
-        squares = self.class_function(lambda i: values[class_of[table[i][i]]])
+        pairs = list(zip(chi.ints[0::2], chi.ints[1::2]))
+        squares = self.class_function(lambda i: (*pairs[class_of[table[i][i]]], chi.den))
         ind = self.inner(squares, self.by_label["1"])
         if not ind.is_integer or abs(ind.na) > 1:
             raise ValueError(f"indicator {ind} outside {{-1, 0, 1}}")
@@ -194,14 +178,16 @@ class CharTable:
         each product (ac + 5bd, ad + bc) is exact."""
         if two_j < 0:
             raise ValueError("two_j must be non-negative")
-        if not self._two_a_in_z_phi:
+        two_a = self.by_label["2a"]
+        f, rest = divmod(2, two_a.den)
+        x = [(c * f, d * f) for c, d in zip(two_a.ints[0::2], two_a.ints[1::2])]
+        if rest or any((c - d) % 2 for c, d in x):
             raise ValueError("character 2a takes a value outside Z[phi]")
-        x = self._two_a
         prev, cur = [(0, 0)] * len(x), [(2, 0)] * len(x)  # 2j = -1 and 2j = 0
         for _ in range(two_j):
             prev, cur = cur, [((a * c + 5 * b * d) // 2 - a0, (a * d + b * c) // 2 - b0)
                               for (c, d), (a, b), (a0, b0) in zip(x, cur, prev)]
-        return CharVector(tuple(Gold(a, b, 2) for a, b in cur))
+        return CharVector._reduced([v for pair in cur for v in pair], 2)
 
     def hyperspin_table(self, max_two_j: int = 7) -> list[tuple[int, dict[str, int]]]:
         return [(tj, self.decompose(self.hyperspin(tj))) for tj in range(max_two_j + 1)]
@@ -216,13 +202,9 @@ class CharTable:
                 }
                 for s, o, r in zip(self.class_sizes, self.class_orders, self.class_reps)
             ],
-            "irreducibles": [chi.to_json() for chi in self.irreducibles],
+            "irreducibles": [{"label": label, "values": [v.to_json() for v in flatten(chi)]}
+                             for label, chi in self.by_label.items()],
         }
-
-
-def _triple(v: Gold) -> tuple[int, int, int]:
-    """v as the (a, b, d) of ``CharTable.class_function``."""
-    return v.na, v.nb, v.den
 
 
 @cache

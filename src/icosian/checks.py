@@ -203,10 +203,11 @@ def check_gamma_group():
         [1, 1, 12, 12, 12, 12, 20, 20, 30]))
 def check_chars_table():
     from .chars import char_table
+    from .goldnum import ONE, ZERO
     ct = char_table()
-    dims = sorted(chi.dim.na for chi in ct.irreducibles)
+    dims = sorted(chi.ints[0] // chi.den for chi in ct.irreducibles)
     ortho = all(
-        ct.inner(a, b) == (1 if i == j else 0)
+        ct.inner(a, b) == (ONE if i == j else ZERO)
         for i, a in enumerate(ct.irreducibles)
         for j, b in enumerate(ct.irreducibles)
     )
@@ -217,13 +218,19 @@ def check_chars_table():
        "columns of the table are orthogonal with squared length |G| / class"
        " size", True)
 def check_chars_columns():
+    from math import lcm
     from .chars import char_table
-    from .goldnum import Gold, dot
+    from .goldnum import dot_pairs
     ct = char_table()
-    columns = list(zip(*(chi.values for chi in ct.irreducibles)))
-    ones = [1] * len(ct.irreducibles)
+    # column c holds each character's integers there; weighting character k
+    # by (den/den_k)^2 puts every product over den^2
+    den = lcm(*[chi.den for chi in ct.irreducibles])
+    weights = [(den // chi.den) ** 2 for chi in ct.irreducibles]
+    columns = [[v for chi in ct.irreducibles for v in chi.ints[2 * c:2 * c + 2]]
+               for c in range(len(ct.classes))]
     return all(
-        dot(x, y, ones) == (Gold(120, 0, ct.class_sizes[c]) if c == d else 0)
+        tuple(v * ct.class_sizes[c] for v in dot_pairs(x, y, weights))
+        == ((120 * den * den, 0) if c == d else (0, 0))
         for c, x in enumerate(columns)
         for d, y in enumerate(columns)
     )
@@ -237,7 +244,7 @@ def check_chars_columns():
 def check_chars_fs():
     from .chars import char_table
     ct = char_table()
-    return {chi.label: ct.fs_indicator(chi) for chi in ct.irreducibles}
+    return {label: ct.fs_indicator(chi) for label, chi in ct.by_label.items()}
 
 
 TENSOR_IDENTITIES = (
@@ -282,8 +289,7 @@ def check_chars_galois():
     ct = char_table()
     swaps = {"2a": "2b", "2b": "2a", "3a": "3b", "3b": "3a"}
     return all(
-        ct.by_label[lab].galois().values
-        == ct.by_label[swaps.get(lab, lab)].values
+        ct.by_label[lab].galois() == ct.by_label[swaps.get(lab, lab)]
         for lab in LABELS
     )
 

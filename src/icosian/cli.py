@@ -112,6 +112,7 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     from .chars import char_table
+    from .goldnum import flatten
     from .reflgroup import word_string
     ct = char_table()
     lines = []
@@ -122,8 +123,8 @@ def cmd_table(args) -> int:
     header = ["rep word"] + [word_string(r) for r in ct.class_reps]
     lines.append("  ".join(f"{h:>10}" for h in header))
     lines.append("")
-    for chi in ct.irreducibles:
-        row = [chi.label] + [str(v) for v in chi.values]
+    for label, chi in ct.by_label.items():
+        row = [label] + [str(v) for v in flatten(chi)]
         lines.append("  ".join(f"{c:>10}" for c in row))
     _emit(args, ct, "\n".join(lines))
     return 0

@@ -9,8 +9,9 @@ AttributeError.  Printing, JSON and hashing read the three integers, so the
 which expose the rational components as Fractions.
 
 ``GoldVector`` holds a fixed-length vector of values the same way, as
-Z[sqrt5] integer pairs over one denominator; quaternions and quaternion
-matrices are GoldVectors.
+Z[sqrt5] integer pairs over one denominator; quaternions, quaternion
+matrices and class functions are GoldVectors.  ``gold_str`` prints a value
+from its integers, so a vector prints without building a Gold.
 """
 from __future__ import annotations
 
@@ -140,27 +141,12 @@ class Gold:
             return NotImplemented
         return other * self.inverse()
 
-    def galois(self) -> "Gold":
-        """The field automorphism sqrt5 -> -sqrt5."""
-        return Gold(self.na, -self.nb, self.den)
-
     @property
     def is_integer(self) -> bool:
         return self.nb == 0 and self.den == 1
 
     def __str__(self) -> str:
-        if self.nb == 0:
-            return _fmt_rat(self.na, self.den)
-        if self.nb == self.den:
-            root = "√5"
-        elif self.nb == -self.den:
-            root = "-√5"
-        else:
-            root = _fmt_rat(self.nb, self.den) + "√5"
-        if self.na == 0:
-            return root
-        sep = "+" if not root.startswith("-") else ""
-        return _fmt_rat(self.na, self.den) + sep + root
+        return gold_str(self.na, self.nb, self.den)
 
     def __repr__(self) -> str:
         return f"Gold({self.na}, {self.nb}, {self.den})"
@@ -208,11 +194,19 @@ class GoldVector:
     (``ints``) over one denominator (``den``), in canonical form: den > 0
     and gcd(den, *ints) == 1.  So structural equality is value equality,
     one tuple hash serves, and sums and negation run on the integers and
-    build no Gold.  Quaternions and quaternion matrices are GoldVectors;
-    vectors of different classes are never equal.
+    build no Gold.  Quaternions, quaternion matrices and class functions
+    are GoldVectors; vectors of different classes are never equal.
     """
 
     __slots__ = ("ints", "den")
+
+    def __init__(self, values: Sequence[Gold]):
+        # the least common denominator of canonical Golds leaves the whole
+        # list canonical: a prime of it divides the den of some value to the
+        # full power, and that value's pair is not divisible by it
+        ints, den = integer_pairs(values)
+        _set(self, "ints", tuple(ints))
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable:"
@@ -253,17 +247,16 @@ class GoldVector:
     def __neg__(self):
         return self._canonical(tuple([-x for x in self.ints]), self.den)
 
+    def galois(self):
+        """The sqrt5 -> -sqrt5 automorphism: the sqrt5 half of each pair negated."""
+        ints = list(self.ints)
+        ints[1::2] = [-b for b in ints[1::2]]
+        return self._canonical(tuple(ints), self.den)
 
-def dot(xs: Sequence[Gold], ys: Sequence[Gold], weights: Sequence[int],
-        den: int = 1) -> Gold:
-    """sum of w*x*y over the three sequences, divided by den.
 
-    Summed on Z[sqrt5] integers: with x = (a + a5*sqrt5)/p and
-    y = (b + b5*sqrt5)/q termwise, the result is one Gold over p*q*den.
-    """
-    x, p = integer_pairs(xs)
-    y, q = integer_pairs(ys)
-    return Gold(*dot_pairs(x, y, weights), p * q * den)
+def flatten(v: GoldVector) -> list[Gold]:
+    """The values of v as Golds, in order: for printing and the tests' oracles."""
+    return [Gold(a, b, v.den) for a, b in zip(v.ints[0::2], v.ints[1::2])]
 
 
 def dot_pairs(x: Sequence[int], y: Sequence[int],
@@ -304,6 +297,23 @@ def _lowest(num: int, den: int) -> list[int]:
 def _fmt_rat(num: int, den: int) -> str:
     n, d = _lowest(num, den)
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def gold_str(na: int, nb: int, den: int) -> str:
+    """The value (na + nb*sqrt5)/den, den > 0, as ``Gold`` prints it: each
+    part in lowest terms, so the text does not depend on a common factor."""
+    if nb == 0:
+        return _fmt_rat(na, den)
+    if nb == den:
+        root = "√5"
+    elif nb == -den:
+        root = "-√5"
+    else:
+        root = _fmt_rat(nb, den) + "√5"
+    if na == 0:
+        return root
+    sep = "+" if not root.startswith("-") else ""
+    return _fmt_rat(na, den) + sep + root
 
 
 ZERO = Gold(0)

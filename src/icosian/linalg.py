@@ -88,6 +88,9 @@ class Echelon:
         if c * c - 5 * d * d < 0:
             c, d = -c, -d
         row = _primitive([c * x - d * z for x, z in zip(v, _partner(v))])
+        if not row[1] == 0 < row[0]:
+            raise ArithmeticError(f"pivot entry {row[0]}, {row[1]} is not a positive"
+                                  " rational integer")
         self.rows[pivot] = row
         self.partners[pivot] = _partner(row)
         self.dim += 1

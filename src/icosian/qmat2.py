@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import lcm
 
-from .goldnum import Gold, GoldVector
+from .goldnum import GoldVector
 from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, from_integer_pairs, hamilton
 
 
@@ -59,9 +59,9 @@ class QMat2(GoldVector):
 
     A GoldVector of its 16 coefficients (entries in reading order, each as
     w, x, y, z): 32 Z[sqrt5] integers over one denominator.  The product
-    (one ``hamilton_dot`` call per entry and one gcd reduction) and the Galois
-    map run on the integers, as the sums do, and build no Gold; the entries
-    ``m11`` ... ``m22`` are built as Quats on demand.
+    (one ``hamilton_dot`` call per entry and one gcd reduction) runs on the
+    integers, as the sums and the Galois map do, and builds no Gold; the
+    entries ``m11`` ... ``m22`` are built as Quats on demand.
     """
 
     __slots__ = ()
@@ -121,17 +121,6 @@ class QMat2(GoldVector):
         return QMat2._reduced([x for k in range(0, 32, 8) for x in hamilton(u, m[k:k + 8])],
                               s.den * self.den)
 
-    def galois(self) -> "QMat2":
-        """The sqrt5 -> -sqrt5 automorphism: the sqrt5 half of each pair negated."""
-        ints = list(self.ints)
-        ints[1::2] = [-b for b in ints[1::2]]
-        return QMat2._canonical(tuple(ints), self.den)
-
-    def complex_char_trace(self) -> Gold:
-        """2*(Re m11 + Re m22): the complex trace of the 4-dim complexification."""
-        m = self.ints
-        return Gold(2 * (m[0] + m[24]), 2 * (m[1] + m[25]), self.den)
-
     def key(self) -> str:
         """Canonical serialization, usable as an indexing key."""
         return f"[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"
@@ -169,11 +158,6 @@ def hamilton_dot(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         a*h5 + a5*h + b*g5 + b5*g - c*f5 - c5*f + d*e5 + d5*e
         + A*H5 + A5*H + B*G5 + B5*G - C*F5 - C5*F + D*E5 + D5*E,
     )
-
-
-def flatten(m: QMat2) -> list[Gold]:
-    """16 coordinates: entries in reading order, each as (w, x, y, z)."""
-    return [Gold(a, b, m.den) for a, b in zip(m.ints[0::2], m.ints[1::2])]
 
 
 IDENTITY = QMat2.diag(Q_ONE, Q_ONE)

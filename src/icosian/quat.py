@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from functools import cache
 from operator import mul
 
-from .goldnum import Gold, GoldVector, ZERO as G_ZERO, SIGMA, TAU, as_gold, integer_pairs
+from .goldnum import Gold, GoldVector, ZERO as G_ZERO, SIGMA, TAU, as_gold, gold_str
 from .groupkit import FiniteGroup
 
 
@@ -19,20 +19,15 @@ class Quat(GoldVector):
 
     A GoldVector of its four coefficients: 8 Z[sqrt5] integers over one
     denominator.  The product (one ``hamilton`` call and one gcd reduction)
-    and the conjugate run on the integers, as the sums do, and build no
-    Gold; the coefficients ``w``, ``x``, ``y``, ``z`` are built as Golds on
-    demand.
+    and the conjugate run on the integers, as the sums do, and so does
+    printing, and none builds a Gold; the coefficients ``w``, ``x``, ``y``,
+    ``z`` are built as Golds on demand.
     """
 
     __slots__ = ()
 
     def __init__(self, w: Gold, x: Gold, y: Gold, z: Gold):
-        # the least common denominator of canonical Golds leaves the whole
-        # list canonical: a prime of it divides the den of some value to the
-        # full power, and that value's pair is not divisible by it
-        ints, den = integer_pairs((w, x, y, z))
-        object.__setattr__(self, "ints", tuple(ints))
-        object.__setattr__(self, "den", den)
+        super().__init__((w, x, y, z))
 
     @property
     def w(self) -> Gold:
@@ -77,9 +72,10 @@ class Quat(GoldVector):
 
     def __str__(self) -> str:
         parts = []
-        for coeff, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
-            if coeff:
-                s = str(coeff)
+        m = self.ints
+        for a, b, unit in zip(m[0::2], m[1::2], ("", "i", "j", "k")):
+            if a or b:
+                s = gold_str(a, b, self.den)
                 if unit and s == "1":
                     s = ""
                 elif unit and s == "-1":

@@ -13,9 +13,9 @@ from __future__ import annotations
 from functools import cache
 
 from .claim import Claim
-from .goldnum import Gold
+from .goldnum import Gold, flatten  # noqa: F401  (re-exported: the coordinates as Golds)
 from .linalg import Echelon, rank
-from .qmat2 import IDENTITY, QMat2, flatten  # noqa: F401  (re-exported: the coordinates as Golds)
+from .qmat2 import IDENTITY, QMat2
 from .quat import PHI, Quat, THETA, ZERO as Q_ZERO
 from .reflgroup import THIRD, build_o1, generators, reflection_matrices
 

@@ -11,7 +11,7 @@ from icosian.chars import (
     CharTable, CharVector, LABELS, build_quat_lift, char_table, format_decomposition,
     gauge_bookkeeping,
 )
-from icosian.goldnum import Gold, dot
+from icosian.goldnum import Gold, dot_pairs, flatten
 from icosian.reflgroup import build_o1
 from conftest import golds
 
@@ -22,9 +22,11 @@ def ct():
 
 def test_labels_and_dimensions():
     table = ct()
-    assert tuple(chi.label for chi in table.irreducibles) == LABELS
-    dims = [chi.dim.na for chi in table.irreducibles]
-    assert dims == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+    assert tuple(table.by_label) == LABELS
+    assert tuple(table.by_label.values()) == table.irreducibles
+    dims = [1, 2, 2, 3, 3, 4, 4, 5, 6]
+    # the identity class is first
+    assert [flatten(chi)[0] for chi in table.irreducibles] == [Gold(d) for d in dims]
     assert sum(d * d for d in dims) == 120
 
 
@@ -62,7 +64,7 @@ def test_row_orthonormality():
 def reference_inner(table, chi, psi):
     """The inner product as a sum of Gold products: the integer form's reference."""
     total = Gold(0)
-    for size, a, b in zip(table.class_sizes, chi.values, psi.values):
+    for size, a, b in zip(table.class_sizes, flatten(chi), flatten(psi)):
         total = total + a * b * Gold(size)
     return total / Gold(len(table.group))
 
@@ -87,9 +89,20 @@ def test_inner_matches_gold_sum_on_class_functions(chi, psi, weights, den):
     table = ct()
     assert table.inner(chi, psi) == reference_inner(table, chi, psi)
     total = Gold(0)
-    for w, a, b in zip(weights, chi.values, psi.values):
+    for w, a, b in zip(weights, flatten(chi), flatten(psi)):
         total = total + a * b * Gold(w)
-    assert dot(chi.values, psi.values, weights, den) == total / Gold(den)
+    rat, root = dot_pairs(chi.ints, psi.ints, weights)
+    assert Gold(rat, root, chi.den * psi.den * den) == total / Gold(den)
+
+
+@given(class_functions, class_functions)
+def test_class_function_arithmetic_matches_gold_values(chi, psi):
+    x, y = flatten(chi), flatten(psi)
+    assert flatten(chi * psi) == [a * b for a, b in zip(x, y)]
+    assert flatten(chi + psi) == [a + b for a, b in zip(x, y)]
+    assert flatten(chi - psi) == [a - b for a, b in zip(x, y)]
+    assert flatten(chi.galois()) == [Gold(a.na, -a.nb, a.den) for a in x]
+    assert CharVector(x) == chi and hash(CharVector(x)) == hash(chi)
 
 
 def test_column_orthogonality():
@@ -98,8 +111,8 @@ def test_column_orthogonality():
     for c in range(n):
         for d in range(n):
             s = Gold(0)
-            for chi in table.irreducibles:
-                s = s + chi.values[c] * chi.values[d]
+            for values in map(flatten, table.irreducibles):
+                s = s + values[c] * values[d]
             want = Gold(120, 0, table.class_sizes[c]) if c == d else Gold(0)
             assert s == want
 
@@ -108,15 +121,15 @@ def test_fs_indicators():
     table = ct()
     expected = {"1": 1, "2a": -1, "2b": -1, "3a": 1, "3b": 1,
                 "4a": 1, "4b": -1, "5": 1, "6": -1}
-    assert {chi.label: table.fs_indicator(chi)
-            for chi in table.irreducibles} == expected
+    assert {label: table.fs_indicator(chi)
+            for label, chi in zip(LABELS, table.irreducibles)} == expected
 
 
 def reference_fs_indicator(table, chi):
     """(1/|G|) sum chi(x^2) as a sum of Gold values: fs_indicator's reference."""
-    total = Gold(0)
+    total, values = Gold(0), flatten(chi)
     for i in range(len(table.group)):
-        total = total + chi.values[table.partition.class_of[table.group.table[i][i]]]
+        total = total + values[table.partition.class_of[table.group.table[i][i]]]
     return total / Gold(len(table.group))
 
 
@@ -131,7 +144,9 @@ def test_galois_label_action():
     swaps = {"2a": "2b", "2b": "2a", "3a": "3b", "3b": "3a"}
     for lab in LABELS:
         target = swaps.get(lab, lab)
-        assert table.by_label[lab].galois().values == table.by_label[target].values
+        assert table.by_label[lab].galois() == table.by_label[target]
+        assert flatten(table.by_label[target]) == [
+            Gold(v.na, -v.nb, v.den) for v in flatten(table.by_label[lab])]
 
 
 TENSOR_CASES = [
@@ -173,11 +188,11 @@ def test_decompose_rejects_non_character():
 
 def table_with(monkeypatch, label, chi):
     """A fresh table whose irreducible `label` is chi, swapped in after the
-    construction's own checks: the integer forms that decompose and
-    hyperspin keep from the construction see the swap."""
+    construction's own checks: decompose and hyperspin read the
+    irreducibles' integers on each call, so they see the swap."""
     build = CharTable._build
     monkeypatch.setattr(CharTable, "_build", lambda self: tuple(
-        chi if irr.label == label else irr for irr in build(self)))
+        chi if lab == label else irr for lab, irr in zip(LABELS, build(self))))
     return CharTable(build_o1())
 
 
@@ -185,7 +200,8 @@ def test_decompose_rejects_a_failed_reconstruction(monkeypatch):
     # with 5 listed twice and 6 missing, every multiplicity of 6 is a
     # non-negative integer (all 0), and only the reconstruction catches it
     table = table_with(monkeypatch, "6", ct().by_label["5"])
-    assert [chi.label for chi in table.irreducibles].count("5") == 2
+    assert table.irreducibles.count(ct().by_label["5"]) == 2
+    assert table.by_label["6"] == ct().by_label["5"]
     with pytest.raises(ValueError, match="reconstruct"):
         table.decompose(ct().by_label["6"])
 
@@ -207,17 +223,17 @@ def test_hyperspin_covers_all_irreducibles():
 def test_hyperspin_dimensions():
     table = ct()
     for tj in range(8):
-        assert table.hyperspin(tj).dim == Gold(tj + 1)
+        assert flatten(table.hyperspin(tj))[0] == Gold(tj + 1)
 
 
 def reference_hyperspin(table, two_j):
-    """The Chebyshev recursion on Gold-valued characters: hyperspin's reference."""
-    prev = CharVector(tuple(Gold(1) for _ in table.classes))
+    """The Chebyshev recursion on Gold values: hyperspin's reference."""
+    prev = [Gold(1) for _ in table.classes]
     if two_j == 0:
         return prev
-    cur = table.by_label["2a"]
+    two_a = cur = flatten(table.by_label["2a"])
     for _ in range(two_j - 1):
-        prev, cur = cur, table.by_label["2a"] * cur - prev
+        prev, cur = cur, [a * c - p for a, c, p in zip(two_a, cur, prev)]
     return cur
 
 
@@ -225,15 +241,15 @@ def reference_decompose(table, chi):
     """Multiplicities by Gold inner products, reconstructed by adding each
     irreducible once per unit of multiplicity: decompose's reference."""
     mults = {}
-    recon = CharVector(tuple(Gold(0) for _ in table.classes))
-    for irr in table.irreducibles:
+    recon = [Gold(0) for _ in table.classes]
+    for label, irr in zip(LABELS, table.irreducibles):
         m = reference_inner(table, chi, irr)
         assert m.is_integer and m.na >= 0
         if m.na:
-            mults[irr.label] = m.na
+            mults[label] = m.na
             for _ in range(m.na):
-                recon = recon + irr
-    assert recon.values == chi.values
+                recon = [r + v for r, v in zip(recon, flatten(irr))]
+    assert recon == flatten(chi)
     return mults
 
 
@@ -241,7 +257,7 @@ def test_hyperspin_and_its_decomposition_match_gold_references():
     table = ct()
     for tj in range(41):
         chi = table.hyperspin(tj)
-        assert chi.values == reference_hyperspin(table, tj).values
+        assert flatten(chi) == reference_hyperspin(table, tj)
         assert table.decompose(chi) == reference_decompose(table, chi)
 
 
@@ -261,7 +277,7 @@ def test_hyperspin_rejects_negative():
 def test_hyperspin_rejects_a_2a_value_outside_z_phi(monkeypatch):
     # halving the recursion's products is exact only on Z[phi]
     two_a = ct().by_label["2a"]
-    half = CharVector((Gold(1, 0, 2),) + two_a.values[1:], "2a")
+    half = CharVector([Gold(1, 0, 2)] + flatten(two_a)[1:])
     table = table_with(monkeypatch, "2a", half)
     assert table.by_label["2a"] == half
     with pytest.raises(ValueError, match="outside Z"):

@@ -6,7 +6,7 @@ from icosian import census, checks, reflgroup
 from icosian.chars import CharVector, GaugeBookkeeping, char_table
 from icosian.checks import REGISTRY, Claimed, VerificationReport, check
 from icosian.claim import Claim
-from icosian.goldnum import Gold
+from icosian.goldnum import Gold, flatten
 from icosian.quat import Quat
 from icosian.reflgroup import build_o1
 
@@ -29,8 +29,11 @@ def test_records_keep_defaults_equality_and_hashing():
                          ((2,), (1, 3, 3), (1, 6, 6)))
     assert a == b and hash(a) == hash(b) and a != GaugeBookkeeping("w")
     chi = CharVector((Gold(1), Gold(-1)))
-    assert chi == CharVector((Gold(1), Gold(-1)), None) != chi.relabel("x")
-    assert hash(chi) == hash(CharVector(chi.values))
+    same = CharVector((Gold(2, 0, 2), Gold(-3, 0, 3)))
+    assert chi == same != CharVector((Gold(1), Gold(1)))
+    assert hash(chi) == hash(same) == hash(chi * CharVector((Gold(1), Gold(1))))
+    with pytest.raises(AttributeError):
+        chi.den = 2
     claim = Claim.of("dim", 16, 16)
     assert hash(claim) == hash(Claim("dim", "16", "16", True))
     with pytest.raises(AttributeError):
@@ -40,7 +43,7 @@ def test_records_keep_defaults_equality_and_hashing():
 def test_records_serialised_through_default_are_not_tuples():
     # json writes any tuple as an array without calling default=
     report = VerificationReport((REGISTRY[0](),))
-    records = [Claim.of("x", 1, 1), report, CharVector((Gold(1),), "1"),
+    records = [Claim.of("x", 1, 1), report, char_table(),
                GaugeBookkeeping("v"), census.order3_census()]
     for record in records:
         assert not isinstance(record, tuple)
@@ -96,7 +99,7 @@ def test_chars_columns_fails_on_a_wrong_dimension(monkeypatch):
     # the 6 of the last character becomes a 5: its column sums break
     ct = char_table()
     *rest, six = ct.irreducibles
-    wrong = CharVector((Gold(5),) + six.values[1:], six.label)
+    wrong = CharVector([Gold(5)] + flatten(six)[1:])
     monkeypatch.setattr(ct, "irreducibles", (*rest, wrong))
     assert registered("chars.columns")().status == "fail"
 

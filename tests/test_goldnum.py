@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from icosian.goldnum import Gold, ONE, SIGMA, TAU, ZERO
+from icosian.chars import CharVector
+from icosian.goldnum import Gold, GoldVector, ONE, SIGMA, TAU, ZERO
 from conftest import golds, nonzero_golds
 
 SQRT5 = Gold(0, 1)
@@ -37,7 +38,7 @@ def test_tau_sigma():
     assert TAU * SIGMA == Gold(-1)
     assert TAU - SIGMA == SQRT5
     assert TAU * TAU == TAU + ONE
-    assert TAU * TAU.galois() == Gold(-1)
+    assert CharVector([TAU]) * CharVector([TAU]).galois() == CharVector([Gold(-1)])
 
 
 def test_sqrt5_squares_to_five():
@@ -45,9 +46,9 @@ def test_sqrt5_squares_to_five():
 
 
 def test_galois():
-    assert TAU.galois() == SIGMA
-    assert SQRT5.galois() == -SQRT5
-    assert HALF.galois() == HALF
+    assert GoldVector([TAU]).galois() == GoldVector([SIGMA])
+    assert GoldVector([SQRT5]).galois() == GoldVector([-SQRT5])
+    assert GoldVector([HALF]).galois() == GoldVector([HALF])
 
 
 def test_division():
@@ -114,9 +115,11 @@ def test_inverse_law(x):
 
 @given(golds, golds)
 def test_galois_is_homomorphism(x, y):
-    assert (x + y).galois() == x.galois() + y.galois()
-    assert (x * y).galois() == x.galois() * y.galois()
-    assert x.galois().galois() == x
+    # on class functions, whose product is pointwise
+    u, v = CharVector([x, y]), CharVector([y, x])
+    assert (u + v).galois() == u.galois() + v.galois()
+    assert (u * v).galois() == u.galois() * v.galois()
+    assert u.galois().galois() == u
 
 
 rationals = st.fractions(max_denominator=12)

@@ -1,8 +1,10 @@
 from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from icosian import linalg
 from icosian.goldnum import Gold, ZERO, integer_pairs
 from icosian.linalg import Echelon, rank
 from icosian.reflgroup import build_o1
@@ -172,6 +174,17 @@ def test_full_span_absorbs_everything(data):
     for vec in fill:
         assert not ech.add(ints(vec))
         assert ech.contains(ints(vec))
+
+
+def test_add_rejects_a_pivot_that_is_not_a_positive_rational_integer(monkeypatch):
+    # a corrupted row fails at once, instead of leaving elimination unable
+    # to clear its pivot while the rows' integers grow
+    primitive = linalg._primitive
+    monkeypatch.setattr(linalg, "_primitive", lambda v: [-x for x in primitive(v)])
+    ech = Echelon(2)
+    with pytest.raises(ArithmeticError, match="not a positive rational integer"):
+        ech.add(ints([Gold(1, 1, 2), Gold(3)]))
+    assert ech.dim == 0 and ech.rows == [None, None]
 
 
 def test_elimination_makes_no_gold_products(monkeypatch):

@@ -250,3 +250,69 @@ def test_norm2_is_summed_on_golds_not_by_the_kernel(monkeypatch):
     assert PHI.norm2() == OMEGA.norm2() == Gold(1)
     assert Quat(Gold(1, 1, 2), Gold(1), Gold(0, 1, 3), Gold(2)).norm2() == \
         Gold(1, 1, 2) * Gold(1, 1, 2) + Gold(5) + Gold(5, 0, 9)
+
+
+def reference_str(q: Quat) -> str:
+    """Quaternion printing through the Gold coefficients: the reference for
+    printing from the integers."""
+    parts = []
+    for coeff, unit in ((q.w, ""), (q.x, "i"), (q.y, "j"), (q.z, "k")):
+        if coeff:
+            s = str(coeff)
+            if unit and s == "1":
+                s = ""
+            elif unit and s == "-1":
+                s = "-"
+            parts.append(s + unit if unit else s)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+def reference_key(m: QMat2) -> str:
+    return (f"[[{reference_str(m.m11)}, {reference_str(m.m12)}],"
+            f" [{reference_str(m.m21)}, {reference_str(m.m22)}]]")
+
+
+SQRT5 = Gold(0, 1)
+G0 = Gold(0)
+PRINTED = [
+    (ZERO, "0"),
+    (ONE, "1"),
+    (-ONE, "-1"),
+    (I, "i"),
+    (-I, "-i"),
+    (Quat(G0, G0, Gold(1), Gold(-1)), "j-k"),
+    (Quat(SQRT5, SQRT5, -SQRT5, G0), "√5+√5i-√5j"),
+    (Quat(-SQRT5, G0, G0, SQRT5), "-√5+√5k"),
+    # the quaternion's den is 2; the w and k coefficients are integers
+    (Quat(Gold(1), Gold(1, 0, 2), G0, Gold(-1)), "1+1/2i-k"),
+    # den 6: each coefficient prints in its own lowest terms
+    (Quat(Gold(1, 0, 2), Gold(0, 2, 3), Gold(1, 1, 2), Gold(-1, 0, 6)),
+     "1/2+2/3√5i+1/2+1/2√5j-1/6k"),
+    (OMEGA, "-1/2+1/2i+1/2j+1/2k"),
+    # a coefficient with both parts prints unbracketed, as it always has
+    (PHI, "1/2i-1/4+1/4√5j-1/4-1/4√5k"),
+    (THETA, "i+j+k"),
+]
+
+
+@pytest.mark.parametrize("q,text", PRINTED)
+def test_printing_matches_gold_coefficients(q, text):
+    assert str(q) == reference_str(q) == text
+
+
+@given(quats)
+@example(Quat(Gold(2), Gold(0, -1), Gold(3, 0, 4), Gold(0)))
+def test_printing_matches_gold_coefficients_on_draws(q):
+    assert str(q) == reference_str(q)
+
+
+def test_keys_of_g_match_gold_coefficients():
+    for m in build_o1().elements:
+        assert m.key() == reference_key(m)
+        for q in (m.m11, m.m12, m.m21, m.m22):
+            assert str(q) == reference_str(q)
