@@ -318,10 +318,19 @@ def check_hyperspin_table():
        ((16, 3, 6, 16), []))
 def check_algebra_dims():
     from . import spans
+    from .qmat2 import IDENTITY
+    from .reflgroup import generators, reflection_matrices
     dim_refl, dim_group = spans.reflection_dims()
     dims = (dim_refl, *spans.neutrino_dims(), dim_group)
     claims = (spans.neutrino_algebra_report() + spans.su2_u1_split_report()
               + spans.reflection_algebra_report())
+    # the same three dimensions by the second route, as subgroup spans
+    _, g, h = generators()
+    one_g_g2 = [IDENTITY, g, g * g]
+    claims.append(Claim.of(
+        "subgroup spans give the reflection and neutrino dimensions", (16, 3, 6),
+        tuple(spans.algebra_closure_dim(mats) for mats in
+              (list(reflection_matrices()), one_g_g2, [*one_g_g2, h]))))
     return Claimed((dims, [c.name for c in claims if not c.ok]), claims)
 
 

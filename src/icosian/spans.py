@@ -25,9 +25,11 @@ def span_dim(mats: list[QMat2]) -> int:
 
 
 def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:
-    """Smallest product-closed subspace containing mats.
+    """Smallest product-closed subspace containing mats, for any matrices.
 
-    Returns its dimension and a matrix basis.  Closes on generator edges:
+    Returns its dimension and a matrix basis.  This exact closure is the
+    certificate behind the ``algebra.dims`` check and the only route for
+    matrices outside G.  Closes on generator edges:
     each basis element is multiplied once on the left by each independent
     input, and products that enlarge the span join the basis and take their
     turn later.  This is sound: the algebra is spanned by the words in the
@@ -56,7 +58,25 @@ def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:
 
 
 def algebra_closure_dim(mats: list[QMat2]) -> int:
-    return algebra_closure(mats)[0]
+    """Dimension of the algebra that elements of G generate, by index work.
+
+    Inside a finite group the generated algebra is the span of the generated
+    subgroup H: the algebra holds H, since each inverse is a positive power,
+    and the span of H is closed under products, since H is a group.  So the
+    inputs' indices are closed to H on the Cayley table and the rank of H's
+    elements is returned; no matrix product is made.  ``[]`` gives 0, as the
+    algebra has no unit of its own.  A matrix outside G raises ValueError
+    (``algebra_closure`` takes any matrices).  The first call builds G.
+    """
+    if not mats:
+        return 0
+    group = build_o1()
+    try:
+        gens = [group.index(m) for m in mats]
+    except KeyError:
+        raise ValueError("not an element of G; algebra_closure takes any"
+                         " matrices") from None
+    return span_dim([group.elements[i] for i in group.subgroup_indices(gens)])
 
 
 def is_galois_stable(mats: list[QMat2]) -> bool:
@@ -75,15 +95,15 @@ def _eq_check(name: str, got: QMat2, want: QMat2) -> Claim:
 def neutrino_dims() -> tuple[int, int]:
     """Dimensions of the algebras generated by 1, g, g^2 and with h adjoined."""
     _, g, h = generators()
-    return (algebra_closure_dim([IDENTITY, g, g * g]),
-            algebra_closure_dim([IDENTITY, g, g * g, h]))
+    return (algebra_closure([IDENTITY, g, g * g])[0],
+            algebra_closure([IDENTITY, g, g * g, h])[0])
 
 
 @cache
 def reflection_dims() -> tuple[int, int]:
     """Dimensions of the algebra the 20 reflections generate and of the span
     of the 120 group elements."""
-    return (algebra_closure_dim(list(reflection_matrices())),
+    return (algebra_closure(list(reflection_matrices()))[0],
             span_dim(list(build_o1().elements)))
 
 

@@ -73,8 +73,9 @@ def test_verify_json_matches_golden(capsys):
 def test_verify_json_claims(capsys):
     _, out, _ = run(capsys, "verify", "--json")
     claims = {r["id"]: r["claims"] for r in json.loads(out)["results"]}
-    assert len(claims["algebra.dims"]) == 37
+    assert len(claims["algebra.dims"]) == 38
     assert all(c["pass"] for c in claims["algebra.dims"])
+    assert claims["algebra.dims"][-1]["name"].startswith("subgroup spans give")
     order4 = claims.pop("orbits.order4")
     assert len(order4) == 5
     assert [c["name"] for c in order4 if not c["pass"]] == [

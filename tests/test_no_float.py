@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "icosian"
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "perm", "factorial", "prod"}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "coincidence.py")
 INTEGER_KERNEL = {"goldnum.py", "quat.py", "qmat2.py", "linalg.py", "chars.py",
-                  "reflgroup.py"}
+                  "reflgroup.py", "spans.py", "groupkit.py"}
 
 
 def float_uses(tree: ast.AST, integer_kernel: bool = False) -> list[str]:

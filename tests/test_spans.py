@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,33 +102,70 @@ def test_closure_monotone_and_idempotent():
 
 def test_closure_forms_products_in_both_orders():
     # e12 * e21 = e11 and e21 * e12 = e22: only both orders give all four
-    assert algebra_closure_dim([E12, E21]) == algebra_closure_dim([E21, E12]) == 4
+    assert algebra_closure([E12, E21])[0] == algebra_closure([E21, E12])[0] == 4
+
+
+def verify_sets():
+    _, g, h = generators()
+    return [list(reflection_matrices()), [IDENTITY, g, g * g], [IDENTITY, g, g * g, h]]
 
 
 def test_closure_matches_all_pairs_reference_on_group_sets():
+    # both spans routes and the all-pairs reference, on verify's three sets,
+    # every singleton of G and 40 seeded sets of two or three elements
     g = build_o1()
     rng = random.Random(11)
-    _, gen_g, gen_h = generators()
-    cases = [[IDENTITY, gen_g, gen_g * gen_g], [IDENTITY, gen_g, gen_g * gen_g, gen_h],
-             list(reflection_matrices())]
+    cases = verify_sets() + [[m] for m in g.elements]
     for _ in range(40):
         cases.append([g.elements[rng.randrange(len(g))]
                       for _ in range(rng.randint(2, 3))])
+    dims = []
     for case in cases:
-        assert algebra_closure_dim(case) == reference_closure_dim(case)
+        dims.append(algebra_closure_dim(case))
+        assert dims[-1] == algebra_closure(case)[0] == reference_closure_dim(case)
+    assert dims[:3] == [16, 3, 6]
+
+
+def test_closure_dim_makes_no_product(monkeypatch):
+    # the subgroup-span route is index work on the Cayley table
+    g = build_o1()
+    calls = 0
+    mul = QMat2.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    cases = verify_sets() + [[g.elements[5], g.elements[17], g.elements[40]]]
+    monkeypatch.setattr(QMat2, "__mul__", counting_mul)
+    dims = [algebra_closure_dim(case) for case in cases]
+    assert calls == 0
+    assert dims[:3] == [16, 3, 6]
+
+
+def test_closure_dim_of_no_matrices_is_zero():
+    assert algebra_closure_dim([]) == 0
+
+
+def test_closure_dim_rejects_a_matrix_outside_g():
+    with pytest.raises(ValueError):
+        algebra_closure_dim([E12])
+    with pytest.raises(ValueError):
+        algebra_closure_dim([IDENTITY, E12 + E21])
 
 
 def test_closure_matches_reference_on_singular_inputs():
     # non-invertible inputs; e12 squares to zero, so its algebra is its line
     for case in ([E12], [E12, E21], [E12, E12 + E12]):
-        assert algebra_closure_dim(case) == reference_closure_dim(case)
-    assert algebra_closure_dim([E12]) == 1
+        assert algebra_closure(case)[0] == reference_closure_dim(case)
+    assert algebra_closure([E12])[0] == 1
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_mats, small_mats)
 def test_closure_matches_reference_on_small_pairs(a, b):
-    assert algebra_closure_dim([a, b]) == reference_closure_dim([a, b])
+    assert algebra_closure([a, b])[0] == reference_closure_dim([a, b])
 
 
 def test_closure_multiplies_on_generator_edges_only(monkeypatch):
@@ -169,22 +207,22 @@ def test_closure_builds_no_gold(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Gold, "__init__", counting_init)
-    dims = [algebra_closure_dim(case) for case in cases]
+    dims = [algebra_closure(case)[0] for case in cases]
     assert calls == 0
     assert dims[:2] == [16, 6]
 
 
 def test_closure_equals_span_of_generated_subgroup():
     # inside a finite group the generated algebra is the span of the
-    # generated subgroup, a second route to the same dimension
+    # generated subgroup: algebra_closure_dim takes that route, and the
+    # exact closure must agree with it
     g = build_o1()
     rng = random.Random(5)
     dims = []
     for _ in range(12):
-        idx = [rng.randrange(len(g)) for _ in range(rng.randint(2, 3))]
-        sub = g.subgroup_indices(idx)
-        dims.append(algebra_closure_dim([g.elements[i] for i in idx]))
-        assert dims[-1] == span_dim([g.elements[i] for i in sub])
+        mats = [g.elements[rng.randrange(len(g))] for _ in range(rng.randint(2, 3))]
+        dims.append(algebra_closure_dim(mats))
+        assert dims[-1] == algebra_closure(mats)[0]
     assert 16 in dims
 
 
