@@ -129,18 +129,6 @@ class Gold:
         n = self.na * self.na - 5 * self.nb * self.nb
         return Gold(self.den * self.na, -self.den * self.nb, n)
 
-    def __truediv__(self, other):
-        other = as_gold(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = as_gold(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     @property
     def is_integer(self) -> bool:
         return self.nb == 0 and self.den == 1

@@ -64,9 +64,11 @@ def algebra_closure_dim(mats: list[QMat2]) -> int:
     subgroup H: the algebra holds H, since each inverse is a positive power,
     and the span of H is closed under products, since H is a group.  So the
     inputs' indices are closed to H on the Cayley table and the rank of H's
-    elements is returned; no matrix product is made.  ``[]`` gives 0, as the
-    algebra has no unit of its own.  A matrix outside G raises ValueError
-    (``algebra_closure`` takes any matrices).  The first call builds G.
+    elements is returned; no matrix product is made.  The rank is a function
+    of H alone, so it is taken once per subgroup (G has 76) and memoised on
+    H's index set.  ``[]`` gives 0, as the algebra has no unit of its own.
+    A matrix outside G raises ValueError (``algebra_closure`` takes any
+    matrices).  The first call builds G.
     """
     if not mats:
         return 0
@@ -76,7 +78,14 @@ def algebra_closure_dim(mats: list[QMat2]) -> int:
     except KeyError:
         raise ValueError("not an element of G; algebra_closure takes any"
                          " matrices") from None
-    return span_dim([group.elements[i] for i in group.subgroup_indices(gens)])
+    return subgroup_span_dim(group.subgroup_indices(gens))
+
+
+@cache
+def subgroup_span_dim(sub: frozenset[int]) -> int:
+    """Rank of the span of the subgroup of G with these indices."""
+    elements = build_o1().elements
+    return span_dim([elements[i] for i in sub])
 
 
 def is_galois_stable(mats: list[QMat2]) -> bool:

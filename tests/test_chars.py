@@ -66,7 +66,7 @@ def reference_inner(table, chi, psi):
     total = Gold(0)
     for size, a, b in zip(table.class_sizes, flatten(chi), flatten(psi)):
         total = total + a * b * Gold(size)
-    return total / Gold(len(table.group))
+    return total * Gold(len(table.group)).inverse()
 
 
 def test_inner_matches_gold_sum_on_irreducibles_and_hyperspins():
@@ -92,7 +92,7 @@ def test_inner_matches_gold_sum_on_class_functions(chi, psi, weights, den):
     for w, a, b in zip(weights, flatten(chi), flatten(psi)):
         total = total + a * b * Gold(w)
     rat, root = dot_pairs(chi.ints, psi.ints, weights)
-    assert Gold(rat, root, chi.den * psi.den * den) == total / Gold(den)
+    assert Gold(rat, root, chi.den * psi.den * den) == total * Gold(den).inverse()
 
 
 @given(class_functions, class_functions)
@@ -130,7 +130,7 @@ def reference_fs_indicator(table, chi):
     total, values = Gold(0), flatten(chi)
     for i in range(len(table.group)):
         total = total + values[table.partition.class_of[table.group.table[i][i]]]
-    return total / Gold(len(table.group))
+    return total * Gold(len(table.group)).inverse()
 
 
 def test_fs_indicator_matches_gold_sum():

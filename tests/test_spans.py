@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from icosian.spans import (
     reflection_algebra_report,
     span_dim,
     su2_u1_split_report,
+    subgroup_span_dim,
 )
 from conftest import golds, quats
 
@@ -153,6 +155,64 @@ def test_closure_dim_rejects_a_matrix_outside_g():
         algebra_closure_dim([E12])
     with pytest.raises(ValueError):
         algebra_closure_dim([IDENTITY, E12 + E21])
+
+
+def all_subgroups(g):
+    """Every subgroup of G as an index set: each is generated by at most two
+    elements, and two elements generate what two generators of their cyclic
+    subgroups do, so pairs of cyclic generators reach them all."""
+    cyclic = {g.subgroup_indices([i]): i for i in range(len(g))}
+    gens = list(cyclic.values())
+    subs = set(cyclic)
+    for k, a in enumerate(gens):
+        for b in gens[k + 1:]:
+            subs.add(g.subgroup_indices([a, b]))
+    return sorted(subs, key=lambda sub: (len(sub), sorted(sub)))
+
+
+def test_closure_dim_on_every_subgroup_of_g():
+    # the memo's whole domain: each subgroup's rank against the exact closure,
+    # then asked again with the generators reversed and one repeated, so a
+    # memo keyed on anything but the subgroup returns another subgroup's rank
+    g = build_o1()
+    subgroup_span_dim.cache_clear()
+    subs = all_subgroups(g)
+    inputs = [[g.elements[i] for i in g.generating_set(sub) or [0]] for sub in subs]
+    dims = []
+    for mats in inputs:
+        dims.append(algebra_closure_dim(mats))
+        assert dims[-1] == algebra_closure(mats)[0]
+    for mats, dim in zip(inputs, dims):
+        assert algebra_closure_dim(mats[::-1] + mats[-1:]) == dim
+    assert len(subs) == 76
+    assert subgroup_span_dim.cache_info().currsize == 76
+    assert Counter(zip(map(len, subs), dims)) == {
+        (1, 1): 1, (2, 1): 1, (3, 3): 10, (4, 2): 15, (5, 4): 6, (6, 3): 10,
+        (8, 4): 5, (10, 4): 6, (12, 6): 10, (20, 8): 6, (24, 8): 5, (120, 16): 1}
+
+
+def test_closure_dim_ranks_each_subgroup_once(monkeypatch):
+    # a repeated query, and other inputs that generate the same subgroup, are
+    # answered from the memo without an elimination step
+    _, gen_g, gen_h = generators()
+    group = [list(reflection_matrices()), list(reflection_matrices())[::-1]]
+    corners = [[IDENTITY, gen_g, gen_g * gen_g, gen_h], [gen_h, gen_g]]
+    algebra_closure_dim(group[0])
+    algebra_closure_dim(corners[0])
+    calls = 0
+    add = Echelon.add
+
+    def counting_add(self, row):
+        nonlocal calls
+        calls += 1
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    assert [algebra_closure_dim(m) for m in group + corners] == [16, 16, 6, 6]
+    assert calls == 0
+    subgroup_span_dim.cache_clear()
+    assert algebra_closure_dim(corners[1]) == 6
+    assert calls > 0
 
 
 def test_closure_matches_reference_on_singular_inputs():
