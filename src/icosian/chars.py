@@ -20,7 +20,6 @@ from .goldnum import Gold, GoldVector, ONE as G_ONE, dot_pairs, flatten, gold_st
 from .groupkit import FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
-from .record import Record
 from .reflgroup import build_o1, word_string
 
 LABELS = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "5", "6")
@@ -32,6 +31,8 @@ class CharVector(GoldVector):
     __slots__ = ()
 
     def __mul__(self, other: "CharVector") -> "CharVector":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         # pointwise (a + b*sqrt5)(c + d*sqrt5) = (ac + 5bd) + (ad + bc)*sqrt5
         x, y = self.ints, other.ints
         out = []
@@ -189,7 +190,7 @@ class CharTable:
                               for (c, d), (a, b), (a0, b0) in zip(x, cur, prev)]
         return CharVector._reduced([v for pair in cur for v in pair], 2)
 
-    def hyperspin_table(self, max_two_j: int = 7) -> list[tuple[int, dict[str, int]]]:
+    def hyperspin_table(self, max_two_j: int) -> list[tuple[int, dict[str, int]]]:
         return [(tj, self.decompose(self.hyperspin(tj))) for tj in range(max_two_j + 1)]
 
     def to_json(self) -> dict:
@@ -221,65 +222,38 @@ def format_decomposition(mults: dict[str, int]) -> str:
 
 # -- gauge dimension bookkeeping ----------------------------------------
 
-class GaugeBookkeeping(Record):
-    """Dimension count for cutting the four symplectic factors down to the
-    familiar rank-4 gauge group."""
-
-    __slots__ = ("variant", "symplectic_dims", "kept_dims", "lost_split_detail")
-
-    def __init__(self, variant: str,
-                 symplectic_dims: tuple[int, ...] = (3, 3, 10, 21),
-                 kept_dims: tuple[int, ...] = (3, 1, 3, 8),
-                 lost_split_detail: tuple[tuple[int, ...], ...] = ((2,), (1, 3, 3), (1, 6, 6))):
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "symplectic_dims", symplectic_dims)
-        object.__setattr__(self, "kept_dims", kept_dims)
-        object.__setattr__(self, "lost_split_detail", lost_split_detail)
-
-    @property
-    def total(self) -> int:
-        return sum(self.symplectic_dims)
-
-    @property
-    def kept(self) -> int:
-        return sum(self.kept_dims)
-
-    @property
-    def lost(self) -> int:
-        return self.total - self.kept
-
-    @property
-    def lost_per_factor(self) -> tuple[int, ...]:
-        return tuple(s - k for s, k in zip(self.symplectic_dims, self.kept_dims))
-
-    @property
-    def lost_split(self) -> tuple[int, ...]:
-        return tuple(sum(part) for part in self.lost_split_detail)
-
-    def check(self) -> None:
-        if sum(self.lost_split) != self.lost:
-            raise ValueError("lost split does not sum to lost dimensions")
-        if sorted(self.lost_split) != sorted(x for x in self.lost_per_factor if x):
-            raise ValueError("split does not match per-factor losses")
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "symplectic_dims": list(self.symplectic_dims),
-            "kept_dims": list(self.kept_dims),
-            "total": self.total,
-            "kept": self.kept,
-            "lost": self.lost,
-            "lost_split": list(self.lost_split),
-            "lost_split_detail": [list(p) for p in self.lost_split_detail],
-        }
+# The paper's choice, not a fact of G: the dimensions the rank-4 gauge group
+# keeps of each symplectic factor (2a, 2b, 4b, 6), and how the loss splits.
+KEPT_DIMS = (3, 1, 3, 8)
+LOST_SPLIT_DETAIL = ((2,), (1, 3, 3), (1, 6, 6))
 
 
-def gauge_bookkeeping() -> tuple[GaugeBookkeeping, GaugeBookkeeping]:
-    """Both allocations of weak SU(2) vs non-relativistic spin; the numbers
-    coincide, only the interpretation differs."""
-    a = GaugeBookkeeping(variant="spin-on-2a-weak-on-4b")
-    b = GaugeBookkeeping(variant="spin-on-4b-weak-on-2a")
-    a.check()
-    b.check()
-    return a, b
+def gauge_bookkeeping() -> tuple[dict, dict]:
+    """Dimension count for cutting the symplectic factors of R[G] down to the
+    familiar rank-4 gauge group, for both allocations of weak SU(2) vs
+    non-relativistic spin; the numbers coincide, only the interpretation
+    differs.
+
+    A character of indicator -1 and dimension d gives a factor M_{d/2}(H),
+    whose unit group Sp(d/2) has dimension (d/2)(d+1); these are read off
+    the table in LABELS order and paired with KEPT_DIMS one to one."""
+    ct = char_table()
+    # chi(1), the value on the identity class, which comes first
+    dims = [chi.ints[0] // chi.den for chi in ct.irreducibles if ct.fs_indicator(chi) == -1]
+    symplectic = [d * (d + 1) // 2 for d in dims]
+    lost_per_factor = [s - k for s, k in zip(symplectic, KEPT_DIMS, strict=True)]
+    split = [sum(part) for part in LOST_SPLIT_DETAIL]
+    # equal multisets of nonzero losses: so the split also sums to the loss
+    if sorted(split) != sorted(x for x in lost_per_factor if x):
+        raise ValueError("split does not match per-factor losses")
+    total, kept = sum(symplectic), sum(KEPT_DIMS)
+    return tuple({
+        "variant": variant,
+        "symplectic_dims": list(symplectic),
+        "kept_dims": list(KEPT_DIMS),
+        "total": total,
+        "kept": kept,
+        "lost": total - kept,
+        "lost_split": list(split),
+        "lost_split_detail": [list(part) for part in LOST_SPLIT_DETAIL],
+    } for variant in ("spin-on-2a-weak-on-4b", "spin-on-4b-weak-on-2a"))

@@ -398,7 +398,8 @@ def check_census_roots():
 def check_gauge_bookkeeping():
     from .chars import gauge_bookkeeping
     a, b = gauge_bookkeeping()
-    return a.total, a.kept, a.lost, a.lost_split, b.total, b.kept
+    return (a["total"], a["kept"], a["lost"], tuple(a["lost_split"]),
+            b["total"], b["kept"])
 
 
 @check("coincidence.np", "neutron/proton calendar coincidence",

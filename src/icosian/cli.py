@@ -252,8 +252,8 @@ def cmd_algebra(args) -> int:
             lines.append(f"  {'pass' if c.ok else 'fail'}: {c.name}")
     a, _ = reports["gauge"]
     lines.append("gauge bookkeeping:")
-    lines.append(f"  {a.total} -> {a.kept} kept, {a.lost} lost as"
-                 f" {' + '.join(str(x) for x in a.lost_split)}")
+    lines.append(f"  {a['total']} -> {a['kept']} kept, {a['lost']} lost as"
+                 f" {' + '.join(str(x) for x in a['lost_split'])}")
     _emit(args, reports, "\n".join(lines))
     return 0
 

@@ -183,7 +183,8 @@ class GoldVector:
     and gcd(den, *ints) == 1.  So structural equality is value equality,
     one tuple hash serves, and sums and negation run on the integers and
     build no Gold.  Quaternions, quaternion matrices and class functions
-    are GoldVectors; vectors of different classes are never equal.
+    are GoldVectors; vectors of different classes are never equal, and
+    are neither added nor subtracted.
     """
 
     __slots__ = ("ints", "den")
@@ -225,10 +226,14 @@ class GoldVector:
         return hash((self.ints, self.den))
 
     def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         p, q = self.den, other.den
         return self._reduced([x * q + y * p for x, y in zip(self.ints, other.ints)], p * q)
 
     def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         p, q = self.den, other.den
         return self._reduced([x * q - y * p for x, y in zip(self.ints, other.ints)], p * q)
 

@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from math import lcm
 
 from .goldnum import GoldVector
-from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, from_integer_pairs, hamilton
+from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, hamilton
 
 
 class Spinor2:
@@ -78,19 +78,19 @@ class QMat2(GoldVector):
 
     @property
     def m11(self) -> Quat:
-        return from_integer_pairs(self.ints[0:8], self.den)
+        return Quat._reduced(self.ints[0:8], self.den)
 
     @property
     def m12(self) -> Quat:
-        return from_integer_pairs(self.ints[8:16], self.den)
+        return Quat._reduced(self.ints[8:16], self.den)
 
     @property
     def m21(self) -> Quat:
-        return from_integer_pairs(self.ints[16:24], self.den)
+        return Quat._reduced(self.ints[16:24], self.den)
 
     @property
     def m22(self) -> Quat:
-        return from_integer_pairs(self.ints[24:32], self.den)
+        return Quat._reduced(self.ints[24:32], self.den)
 
     @staticmethod
     def diag(a: Quat, b: Quat) -> "QMat2":

@@ -66,10 +66,6 @@ class Quat(GoldVector):
         ints = self.ints
         return Quat._canonical(ints[:2] + tuple([-v for v in ints[2:]]), self.den)
 
-    def norm2(self) -> Gold:
-        # summed on Golds, apart from the integer kernel: the tests' oracle
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-
     def __str__(self) -> str:
         parts = []
         m = self.ints
@@ -110,12 +106,6 @@ def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         a*h + b*g - c*f + d*e + 5 * (a5*h5 + b5*g5 - c5*f5 + d5*e5),
         a*h5 + a5*h + b*g5 + b5*g - c*f5 - c5*f + d*e5 + d5*e,
     )
-
-
-def from_integer_pairs(ints: Sequence[int], den: int) -> Quat:
-    """The quaternion whose 8 ``integer_pairs`` ints over den > 0 are given,
-    reduced to canonical form by one gcd."""
-    return Quat._reduced(ints, den)
 
 
 def _g(v) -> Gold:

@@ -115,8 +115,9 @@ def reflection_matrices() -> tuple[QMat2, ...]:
 
 @cache
 def build_o1() -> FiniteGroup[QMat2]:
-    """The full group from the f, g, h generators; must close at order 120."""
-    return FiniteGroup.closure(list(generators()), mul, IDENTITY, cap=10_000)
+    """The full group from the f, g, h generators; the check group.order
+    certifies that it closes at order 120."""
+    return FiniteGroup.closure(list(generators()), mul, IDENTITY)
 
 
 def word_index(letters: str) -> int:
@@ -203,7 +204,8 @@ def gamma_matrices() -> tuple[QMat2, QMat2, QMat2, QMat2]:
 
 @cache
 def gamma_group() -> FiniteGroup[QMat2]:
-    """The finite group generated by the gammas; must close at order 32."""
+    """The finite group generated by the gammas; the check gamma.group
+    certifies that it closes at order 32."""
     return FiniteGroup.closure(list(gamma_matrices()), mul, IDENTITY, cap=1000)
 
 

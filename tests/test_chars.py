@@ -41,7 +41,7 @@ def test_lift_is_multiplicative():
     # generator edges, which by induction covers all 120^2 products
     lift = build_quat_lift(build_o1())
     assert len(lift) == 120
-    assert all(q.norm2() == Gold(1) for q in lift)
+    assert all(sum(c * c for c in flatten(q)) == Gold(1) for q in lift)
 
 
 def test_lift_check_catches_a_corrupted_edge():
@@ -287,9 +287,12 @@ def test_hyperspin_rejects_a_2a_value_outside_z_phi(monkeypatch):
 def test_gauge_bookkeeping():
     a, b = gauge_bookkeeping()
     for variant in (a, b):
-        assert variant.total == 37
-        assert variant.kept == 15
-        assert variant.lost == 22
-        assert variant.lost_split == (2, 7, 13)
-        assert variant.lost_per_factor == (0, 2, 7, 13)
-    assert a.variant != b.variant
+        # (d/2)(d+1) for the characters 2a, 2b, 4b, 6 of indicator -1
+        assert variant["symplectic_dims"] == [3, 3, 10, 21]
+        lost = [s - k for s, k in zip(variant["symplectic_dims"], variant["kept_dims"])]
+        assert lost == [0, 2, 7, 13]
+        assert (variant["total"], variant["kept"], variant["lost"]) == (37, 15, 22)
+        assert variant["lost_split"] == [2, 7, 13]
+    assert a["variant"] != b["variant"]
+    assert list(a) == ["variant", "symplectic_dims", "kept_dims", "total", "kept",
+                       "lost", "lost_split", "lost_split_detail"]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from icosian import census, checks, reflgroup
-from icosian.chars import CharVector, GaugeBookkeeping, char_table
+from icosian.chars import CharVector, char_table
 from icosian.checks import REGISTRY, Claimed, VerificationReport, check
 from icosian.claim import Claim
 from icosian.goldnum import Gold, flatten
@@ -23,11 +23,12 @@ def test_claim_of_compares_values_and_keeps_their_text():
     assert Claim.of("sizes", (3, 6, 6), (3, 3, 3, 6)).ok is False
 
 
-def test_records_keep_defaults_equality_and_hashing():
-    a = GaugeBookkeeping("v")
-    b = GaugeBookkeeping("v", (3, 3, 10, 21), (3, 1, 3, 8),
-                         ((2,), (1, 3, 3), (1, 6, 6)))
-    assert a == b and hash(a) == hash(b) and a != GaugeBookkeeping("w")
+def test_records_keep_equality_hashing_and_immutability():
+    c = census.order3_census()
+    twin = census.OrbitCensus(c.item_kind, c.items, c.orbits, dict(c.listed))
+    assert c == twin != census.OrbitCensus("other", c.items, c.orbits, c.listed)
+    with pytest.raises(AttributeError):
+        c.items = ()
     chi = CharVector((Gold(1), Gold(-1)))
     same = CharVector((Gold(2, 0, 2), Gold(-3, 0, 3)))
     assert chi == same != CharVector((Gold(1), Gold(1)))
@@ -35,6 +36,7 @@ def test_records_keep_defaults_equality_and_hashing():
     with pytest.raises(AttributeError):
         chi.den = 2
     claim = Claim.of("dim", 16, 16)
+    assert claim == Claim("dim", "16", "16", True) != Claim("dim", "16", "16", False)
     assert hash(claim) == hash(Claim("dim", "16", "16", True))
     with pytest.raises(AttributeError):
         claim.ok = False
@@ -43,8 +45,7 @@ def test_records_keep_defaults_equality_and_hashing():
 def test_records_serialised_through_default_are_not_tuples():
     # json writes any tuple as an array without calling default=
     report = VerificationReport((REGISTRY[0](),))
-    records = [Claim.of("x", 1, 1), report, char_table(),
-               GaugeBookkeeping("v"), census.order3_census()]
+    records = [Claim.of("x", 1, 1), report, char_table(), census.order3_census()]
     for record in records:
         assert not isinstance(record, tuple)
         text = json.dumps(record, default=lambda obj: obj.to_json())
@@ -93,6 +94,19 @@ def test_roots_norm_fails_on_a_bad_root(monkeypatch):
 
 def registered(id_):
     return next(fn for fn in REGISTRY if fn.id == id_)
+
+
+@pytest.mark.parametrize("label, indicator", [("4b", 1), ("4a", -1)])
+def test_gauge_bookkeeping_fails_on_a_wrong_indicator(monkeypatch, label, indicator):
+    # one quaternionic character too few or too many: the symplectic
+    # dimensions no longer pair one to one with the kept ones
+    ct = char_table()
+    real, chi = ct.fs_indicator, ct.by_label[label]
+    monkeypatch.setattr(ct, "fs_indicator",
+                        lambda psi: indicator if psi is chi else real(psi))
+    r = registered("gauge.bookkeeping")()
+    assert r.status == "fail"
+    assert "zip()" in r.actual
 
 
 def test_chars_columns_fails_on_a_wrong_dimension(monkeypatch):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from icosian.chars import CharVector
 from icosian.goldnum import Gold, GoldVector, ONE, SIGMA, TAU, ZERO
+from icosian.qmat2 import IDENTITY
+from icosian.quat import I, ONE as Q_ONE
 from conftest import golds, nonzero_golds
 
 SQRT5 = Gold(0, 1)
@@ -120,6 +122,18 @@ def test_galois_is_homomorphism(x, y):
     assert (u + v).galois() == u.galois() + v.galois()
     assert (u * v).galois() == u.galois() * v.galois()
     assert u.galois().galois() == u
+
+
+def test_vectors_of_different_classes_do_not_combine():
+    # the ints of two classes differ in length and meaning, so zipping them
+    # is no sum
+    chi = CharVector([ONE, TAU, SIGMA, ZERO])
+    for op, symbol, x, y in [(operator.add, r"\+", Q_ONE, IDENTITY),
+                             (operator.sub, "-", IDENTITY, I),
+                             (operator.mul, r"\*", chi, I),
+                             (operator.add, r"\+", Q_ONE, 1)]:
+        with pytest.raises(TypeError, match=f"for {symbol}: '{type(x).__name__}'"):
+            op(x, y)
 
 
 rationals = st.fractions(max_denominator=12)

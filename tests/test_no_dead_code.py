@@ -5,16 +5,15 @@ method defined there, and each name bound at a module's top level, must be
 named somewhere else in the package (as a name read, an attribute, or an
 import whose bound name the importing module reads), or in the benchmark
 scripts under perfbench/.  Dunder methods, @check bodies (the registry
-calls them), the test oracle Quat.norm2 and __version__ are exempt.  The
-match is by name only, so a dead method that shares its name with a live
-one slips through.
+calls them) and __version__ are exempt.  The match is by name only, so a
+dead method that shares its name with a live one slips through.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "icosian"
-EXEMPT = {"norm2", "__version__"}  # Quat.norm2: the tests' norm oracle; package metadata
+EXEMPT = {"__version__"}  # package metadata
 
 
 def named(trees) -> set[str]:
@@ -90,7 +89,7 @@ def test_scanner_flags_an_unused_method():
            "@check('a.b', '', '', 0)\n"
            "def check_a(): return 0\n")
     assert unused_functions({"m.py": ast.parse(src)}, {"is_maximal"}) == \
-        ["m.py: is_subgroup_set"]
+        ["m.py: is_subgroup_set", "m.py: norm2"]
 
 
 def test_scanner_flags_an_unused_constant():
