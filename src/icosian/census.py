@@ -25,7 +25,7 @@ class OrbitCensus(Record):
 
     def __init__(self, item_kind: str, items: tuple[frozenset[int], ...],
                  orbits: tuple[frozenset[int], ...],  # sets of item positions
-                 listed: dict[str, tuple[str, ...]]):
+                 listed: tuple[tuple[str, tuple[str, ...]], ...]):  # (family, words)
         object.__setattr__(self, "item_kind", item_kind)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "orbits", orbits)
@@ -40,7 +40,7 @@ class OrbitCensus(Record):
             "item_kind": self.item_kind,
             "item_count": len(self.items),
             "orbit_sizes": list(self.orbit_sizes),
-            "listed_words": {k: list(v) for k, v in self.listed.items()},
+            "listed_words": {k: list(v) for k, v in self.listed},
         }
 
 
@@ -91,7 +91,7 @@ def _family_claims(G, census: OrbitCensus, item_of) -> list[Claim]:
     """For each listed family, the claim that the items of its words, under
     item_of(index), make up one whole orbit."""
     claims = []
-    for name, tokens in census.listed.items():
+    for name, tokens in census.listed:
         pos = [census.items.index(item_of(_listed_index(G, t))) for t in tokens]
         hit = [orbit for orbit in census.orbits if not orbit.isdisjoint(pos)]
         spanned = sum(len(orbit) for orbit in hit)  # orbits are disjoint
@@ -111,7 +111,7 @@ def _pair_census(kind: str, order: int, count: int, pair_of, listed) -> OrbitCen
     if len(items) != count:
         raise ValueError(f"{len(items)} {kind} items, expected {count}")
     orbits = G.conjugation_orbits(h_idx, items)
-    return OrbitCensus(kind, tuple(items), tuple(orbits), listed)
+    return OrbitCensus(kind, tuple(items), tuple(orbits), tuple(listed.items()))
 
 
 # -- order 4 ------------------------------------------------------------

@@ -4,9 +4,10 @@ A value is stored as (na + nb*sqrt5)/den with arbitrary-precision integers,
 normalized so den > 0 and gcd(na, nb, den) = 1.  Canonical form is enforced
 at construction, so structural equality is field equality and Gold values
 can be used directly as dictionary keys; assigning a field raises
-AttributeError.  Printing, JSON and hashing read the three integers, so the
-``fractions`` module is imported only by the ``a`` and ``b`` properties,
-which expose the rational components as Fractions.
+AttributeError.  Values are built from and combined with Golds and ints
+only: a float or any other number raises TypeError, as a constructor
+argument or as an operand.  Printing, JSON and hashing read the three
+integers; only the ``a`` and ``b`` properties import ``fractions``.
 
 ``GoldVector`` holds a fixed-length vector of values the same way, as
 Z[sqrt5] integer pairs over one denominator; quaternions, quaternion
@@ -15,7 +16,6 @@ from its integers, so a vector prints without building a Gold.
 """
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 from math import gcd, lcm
 
@@ -44,17 +44,6 @@ class Gold:
     def __setattr__(self, name, value):
         raise AttributeError(f"Gold is immutable: cannot set {name!r}")
 
-    @staticmethod
-    def of(a, b=0) -> "Gold":
-        """a + b*sqrt5 for ints or Fractions a and b."""
-        for v in (a, b):
-            if not (isinstance(v, int) or _is_rational(v)):
-                raise TypeError(f"Gold.of takes int or Fraction, not"
-                                f" {type(v).__name__}")
-        den = lcm(a.denominator, b.denominator)
-        return Gold(a.numerator * (den // a.denominator),
-                    b.numerator * (den // b.denominator), den)
-
     @property
     def a(self):
         """The rational part, as a Fraction."""
@@ -74,12 +63,10 @@ class Gold:
         return self.na == other.na and self.nb == other.nb and self.den == other.den
 
     def __hash__(self) -> int:
-        # rational values hash as the int or Fraction they equal
-        if self.nb:
-            return hash((self.na, self.nb, self.den))
-        if self.den == 1:
+        # an integer value hashes as the int it equals
+        if self.is_integer:
             return hash(self.na)
-        return _rational_hash(self.na, self.den)
+        return hash((self.na, self.nb, self.den))
 
     def __bool__(self) -> bool:
         return bool(self.na or self.nb)
@@ -141,22 +128,6 @@ class Gold:
 
     def to_json(self) -> dict:
         return {"a": _lowest(self.na, self.den), "b": _lowest(self.nb, self.den)}
-
-
-_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-def _rational_hash(num: int, den: int) -> int:
-    """hash(Fraction(num, den)) for den > 0, by Python's documented rule
-    for numeric hashes: |num| / den reduced modulo the prime modulus, with
-    the sign of num, and the infinity hash when the modulus divides den."""
-    if den % _MODULUS == 0:
-        h = _HASH_INF
-    else:
-        h = abs(num) % _MODULUS * pow(den, -1, _MODULUS) % _MODULUS
-    h = h if num >= 0 else -h
-    return -2 if h == -1 else h
 
 
 def integer_pairs(values: Sequence[Gold]) -> tuple[list[int], int]:
@@ -263,26 +234,16 @@ def dot_pairs(x: Sequence[int], y: Sequence[int],
 
 
 def as_gold(x):
-    """x as a Gold if it is a Gold, an int or a Fraction, else NotImplemented."""
+    """x as a Gold if it is a Gold or an int, else NotImplemented."""
     if isinstance(x, Gold):
         return x
     if isinstance(x, int):
         return Gold(x)
-    if _is_rational(x):
-        return Gold(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
-def _is_rational(x) -> bool:
-    """Whether x is a Fraction or another rational number type.  Gold and
-    int operands never reach this test, so ``numbers`` is imported only
-    where a Fraction or a float meets a Gold."""
-    from numbers import Rational
-    return isinstance(x, Rational)
-
-
 def _lowest(num: int, den: int) -> list[int]:
-    """[numerator, denominator] of num/den in lowest terms, as a Fraction has."""
+    """[numerator, denominator] of num/den, den > 0, in lowest terms."""
     g = gcd(num, den)
     return [num // g, den // g]
 

@@ -37,18 +37,16 @@ class FiniteGroup(Generic[T]):
 
     def __init__(
         self,
-        elements: list[T],
+        index: dict[T, int],  # element -> its position, in position order
         edges: list[tuple[int, ...]],
         parent: list[int],
         letter: list[int],
     ):
-        self.elements = elements
+        self.elements = list(index)
+        self._index = index
         self.edges = edges
         self.parent = parent
         self.letter = letter
-        self._index = {x: i for i, x in enumerate(elements)}
-        if len(self._index) != len(elements):
-            raise ClosureError("duplicate elements in group construction")
 
     @classmethod
     def closure(
@@ -83,7 +81,7 @@ class FiniteGroup(Generic[T]):
                 row.append(index[p])
             edges.append(tuple(row))
             i += 1
-        return cls(elements, edges, parent, letter)
+        return cls(index, edges, parent, letter)
 
     # -- basic queries -------------------------------------------------
 

@@ -11,31 +11,17 @@ from math import lcm
 
 from .goldnum import GoldVector
 from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, hamilton
+from .record import Record
 
 
-class Spinor2:
-    """Column vector (c1, c2) in the rank-2 right quaternion module; immutable,
-    equal and hashed by its two components."""
+class Spinor2(Record):
+    """Column vector (c1, c2) in the rank-2 right quaternion module."""
 
     __slots__ = ("c1", "c2")
 
     def __init__(self, c1: Quat, c2: Quat):
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Spinor2 is immutable: cannot set {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Spinor2):
-            return self.c1 == other.c1 and self.c2 == other.c2
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.c1, self.c2))
-
-    def __repr__(self) -> str:
-        return f"Spinor2(c1={self.c1!r}, c2={self.c2!r})"
 
     def scale(self, s: Quat) -> "Spinor2":
         """Right scalar multiplication."""

@@ -109,7 +109,7 @@ def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
 
 
 def _g(v) -> Gold:
-    return v if isinstance(v, Gold) else Gold.of(v)
+    return v if isinstance(v, Gold) else Gold(v)
 
 
 ZERO = Quat.of(0)

@@ -25,8 +25,9 @@ def test_claim_of_compares_values_and_keeps_their_text():
 
 def test_records_keep_equality_hashing_and_immutability():
     c = census.order3_census()
-    twin = census.OrbitCensus(c.item_kind, c.items, c.orbits, dict(c.listed))
+    twin = census.OrbitCensus(c.item_kind, c.items, c.orbits, c.listed)
     assert c == twin != census.OrbitCensus("other", c.items, c.orbits, c.listed)
+    assert hash(c) == hash(twin)
     with pytest.raises(AttributeError):
         c.items = ()
     chi = CharVector((Gold(1), Gold(-1)))

@@ -2,7 +2,7 @@
 
 `import icosian.cli` loads the command line front end alone, and each
 command imports its layers inside its own function; so does each check of
-the registry.  No command imports ``fractions`` or ``decimal``.  These
+the registry.  No command imports ``fractions``, ``decimal`` or ``numbers``.  These
 checks run fresh interpreters, since the test session has every module
 loaded already.  No module of the package imports dataclasses: its import
 pulls in inspect, and each decorated class compiles its methods by exec on
@@ -96,7 +96,7 @@ def test_verify_only_coincidence_loads_no_exact_layer():
 def test_commands_import_no_fractions_or_decimal(argv):
     run = fresh_run(argv)
     assert run["code"] == (1 if argv[0] == "verify" else 0)
-    assert {"fractions", "decimal"}.isdisjoint(run["modules"])
+    assert {"fractions", "decimal", "numbers"}.isdisjoint(run["modules"])
 
 
 def dataclass_imports(tree: ast.AST) -> list[str]:
