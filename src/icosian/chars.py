@@ -13,8 +13,9 @@ all run on those integers; the irreducibles are kept in ``LABELS`` order.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
+from operator import mul
 
 from .goldnum import Gold, GoldVector, ONE as G_ONE, dot_pairs, flatten, gold_str
 from .groupkit import FiniteGroup
@@ -74,6 +75,7 @@ class CharTable:
         self.class_reps = tuple(min(c) for c in self.classes)
         self.irreducibles = self._build()
         self.by_label = dict(zip(LABELS, self.irreducibles))
+        self._spins: list[CharVector] = []  # hyperspin(0), hyperspin(1), ...
 
     # -- construction ---------------------------------------------------
 
@@ -137,14 +139,15 @@ class CharTable:
     def decompose(self, chi: CharVector) -> dict[str, int]:
         """Multiplicities of the irreducibles in chi; exact reconstruction
         is enforced.  One pass on Z[sqrt5] integers: with chi = x/p and each
-        irreducible y/q, its multiplicity is the sum of size*x*y over p*q*|G|;
-        the sum of m*y, over the least common q, must equal chi."""
+        irreducible y/q, its multiplicity is the sum of size*x*y over p*q*|G|,
+        read as two integer dot products of x with the irreducible's weight
+        rows; the sum of m*y, over the least common q, must equal chi."""
         x, p = chi.ints, chi.den
         den = lcm(*[irr.den for irr in self.irreducibles])
         mults: dict[str, int] = {}
         recon = [0] * len(x)
-        for label, irr in zip(LABELS, self.irreducibles):
-            rat, root = dot_pairs(x, irr.ints, self.class_sizes)
+        for label, irr, (w_rat, w_root) in zip(LABELS, self.irreducibles, self._weights):
+            rat, root = sum(map(mul, x, w_rat)), sum(map(mul, x, w_root))
             n = p * irr.den * len(self.group)
             m, rest = divmod(rat, n)
             if root or rest or m < 0:
@@ -157,6 +160,21 @@ class CharTable:
         if [r * p for r in recon] != [v * den for v in x]:
             raise ValueError("decomposition does not reconstruct the character")
         return mults
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per irreducible y, the rows w_rat, w_root with sum(x * w_rat) and
+        sum(x * w_root) the rational and sqrt5 parts of the sum of size*x*y,
+        for x in ``integer_pairs`` form: (a + a5 sqrt5)(b + b5 sqrt5) =
+        (ab + 5 a5 b5) + (a b5 + a5 b) sqrt5."""
+        rows = []
+        for irr in self.irreducibles:
+            w_rat, w_root = [], []
+            for s, b, b5 in zip(self.class_sizes, irr.ints[0::2], irr.ints[1::2]):
+                w_rat += (s * b, 5 * s * b5)
+                w_root += (s * b5, s * b)
+            rows.append((tuple(w_rat), tuple(w_root)))
+        return tuple(rows)
 
     def fs_indicator(self, chi: CharVector) -> int:
         """Frobenius-Schur indicator (1/|G|) sum chi(x^2): the inner product
@@ -176,19 +194,26 @@ class CharTable:
         """Restriction character for the spin-(two_j/2) representation, by
         chi_{n+1} = chi_2a * chi_n - chi_{n-1} on Z[sqrt5] integer pairs over
         2: the values lie in Z[phi], pairs (a, b) with a = b mod 2, so halving
-        each product (ac + 5bd, ad + bc) is exact."""
+        each product (ac + 5bd, ad + bc) is exact.  The characters are kept
+        as one sequence, extended only past the largest two_j asked so far;
+        2a is checked to lie in Z[phi] on each extension, so a table that
+        fails the check keeps nothing and fails again."""
         if two_j < 0:
             raise ValueError("two_j must be non-negative")
-        two_a = self.by_label["2a"]
-        f, rest = divmod(2, two_a.den)
-        x = [(c * f, d * f) for c, d in zip(two_a.ints[0::2], two_a.ints[1::2])]
-        if rest or any((c - d) % 2 for c, d in x):
-            raise ValueError("character 2a takes a value outside Z[phi]")
-        prev, cur = [(0, 0)] * len(x), [(2, 0)] * len(x)  # 2j = -1 and 2j = 0
-        for _ in range(two_j):
-            prev, cur = cur, [((a * c + 5 * b * d) // 2 - a0, (a * d + b * c) // 2 - b0)
-                              for (c, d), (a, b), (a0, b0) in zip(x, cur, prev)]
-        return CharVector._reduced([v for pair in cur for v in pair], 2)
+        spins = self._spins
+        if two_j >= len(spins):
+            x = _halves(self.by_label["2a"])
+            if x is None or any((c - d) % 2 for c, d in x):
+                raise ValueError("character 2a takes a value outside Z[phi]")
+            if not spins:
+                spins.append(CharVector._canonical((1, 0) * len(x), 1))
+            prev = _halves(spins[-2]) if len(spins) > 1 else [(0, 0)] * len(x)
+            cur = _halves(spins[-1])
+            while len(spins) <= two_j:
+                prev, cur = cur, [((a * c + 5 * b * d) // 2 - a0, (a * d + b * c) // 2 - b0)
+                                  for (c, d), (a, b), (a0, b0) in zip(x, cur, prev)]
+                spins.append(CharVector._reduced([v for pair in cur for v in pair], 2))
+        return spins[two_j]
 
     def hyperspin_table(self, max_two_j: int) -> list[tuple[int, dict[str, int]]]:
         return [(tj, self.decompose(self.hyperspin(tj))) for tj in range(max_two_j + 1)]
@@ -206,6 +231,15 @@ class CharTable:
             "irreducibles": [{"label": label, "values": [v.to_json() for v in flatten(chi)]}
                              for label, chi in self.by_label.items()],
         }
+
+
+def _halves(chi: CharVector) -> list[tuple[int, int]] | None:
+    """chi's values as Z[sqrt5] integer pairs over 2, or None if its
+    denominator does not divide 2."""
+    f, rest = divmod(2, chi.den)
+    if rest:
+        return None
+    return [(c * f, d * f) for c, d in zip(chi.ints[0::2], chi.ints[1::2])]
 
 
 @cache

@@ -4,7 +4,9 @@ Works with any associative multiplication with an identity; groups are built
 by breadth-first product closure with a deterministic element ordering.  The
 closure records the right-Cayley graph, and the multiplication is called only
 on its generator edges; the Cayley table and every further query (orders,
-conjugacy, subgroups, orbits) is integer index work on that graph.
+conjugacy, subgroups, orbits) is integer index work on that graph.  What a
+query derives from the group alone (a conjugation permutation, the
+generating set of a subgroup) is kept for the next one.
 """
 from __future__ import annotations
 
@@ -47,6 +49,10 @@ class FiniteGroup(Generic[T]):
         self.edges = edges
         self.parent = parent
         self.letter = letter
+        # kept on first use: conjugation permutations by conjugating element
+        # (at most |G|), and generating sets by subgroup
+        self._conj_rows: dict[int, tuple[int, ...]] = {}
+        self._generating_sets: dict[frozenset[int], tuple[int, ...]] = {}
 
     @classmethod
     def closure(
@@ -135,10 +141,20 @@ class FiniteGroup(Generic[T]):
         except ValueError:
             raise ClosureError("element without inverse; not a group") from None
 
+    def conj_row(self, y: int) -> tuple[int, ...]:
+        """Conjugation by y as a permutation of the indices: ``row[x]`` is
+        x^y = y^-1 x y, read off the table.  Built on first use and kept,
+        so there is at most one row per element of the group."""
+        row = self._conj_rows.get(y)
+        if row is None:
+            t = self.table
+            times_y = [r[y] for r in t]
+            row = self._conj_rows[y] = tuple([times_y[a] for a in t[self.inverse[y]]])
+        return row
+
     def conj_idx(self, x: int, y: int) -> int:
         """x^y := y^-1 x y."""
-        t = self.table
-        return t[t[self.inverse[y]][x]][y]
+        return self.conj_row(y)[x]
 
     def element_order(self, i: int) -> int:
         """Least n with i^n the identity; no element of a group of order N
@@ -191,27 +207,36 @@ class FiniteGroup(Generic[T]):
                     queue.append(p)
         return frozenset(seen)
 
-    def generating_set(self, indices: Iterable[int]) -> list[int]:
+    def generating_set(self, indices: Iterable[int]) -> tuple[int, ...]:
         """A subset of the indices that generates the same subgroup.
 
         Walks the sorted indices and keeps an element only if the ones kept
         so far do not generate it.  Each kept element enlarges the subgroup
         generated so far, which by Lagrange at least doubles its order, so
-        at most log2|H| elements are kept for a subgroup H.
+        at most log2|H| elements are kept for a subgroup H.  The answer for
+        a subgroup (a set equal to the subgroup it generates) is kept, so
+        there is at most one entry per subgroup queried.
         """
-        gens: list[int] = []
+        key = frozenset(indices)
+        gens = self._generating_sets.get(key)
+        if gens is not None:
+            return gens
+        kept: list[int] = []
         span = frozenset({0})
-        for i in sorted(indices):
+        for i in sorted(key):
             if i not in span:
-                gens.append(i)
-                span = self.subgroup_indices(gens)
+                kept.append(i)
+                span = self.subgroup_indices(kept)
+        gens = tuple(kept)
+        if span == key:
+            self._generating_sets[key] = gens
         return gens
 
     def is_maximal(self, sub: frozenset[int]) -> bool:
         """True iff sub is a proper subgroup that every extra element completes.
 
         A set is a subgroup exactly when it equals the subgroup it generates.
-        Each candidate closes ``generating_set(sub) + [x]``, which generates
+        Each candidate closes ``[*generating_set(sub), x]``, which generates
         the same subgroup as sub with x adjoined.  One candidate per double
         coset HxH is enough: <H, hxh'> = <H, x> for h, h' in H, since hxh'
         lies in <H, x> and x = h^-1 (hxh') h'^-1 lies in <H, hxh'>.
@@ -227,7 +252,7 @@ class FiniteGroup(Generic[T]):
         for x in range(n):
             if x in decided:
                 continue
-            if len(self.subgroup_indices(gens + [x])) != n:
+            if len(self.subgroup_indices([*gens, x])) != n:
                 return False
             decided.update(t[t[h][x]][k] for h in sub for k in sub)
         return True
@@ -252,12 +277,12 @@ class FiniteGroup(Generic[T]):
         components reached by following the generators' images forward.
         """
         item_index = {item: k for k, item in enumerate(items)}
-        gens = self.generating_set(h_indices)
+        rows = [self.conj_row(y) for y in self.generating_set(h_indices)]
         images = []
         for item in items:
             row = []
-            for y in gens:
-                img = frozenset(self.conj_idx(i, y) for i in item)
+            for conj in rows:
+                img = frozenset([conj[i] for i in item])
                 if img not in item_index:
                     raise ClosureError("conjugation does not preserve the item set")
                 row.append(item_index[img])

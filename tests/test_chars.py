@@ -269,6 +269,20 @@ def test_decompose_matches_gold_reference_on_products():
             assert table.decompose(chi) == reference_decompose(table, chi)
 
 
+def test_spin_sequence_is_kept_and_extended_in_any_order():
+    down = CharTable(build_o1())
+    for tj in [24, *range(23, -1, -1)]:
+        assert flatten(down.hyperspin(tj)) == reference_hyperspin(down, tj)
+    assert len(down._spins) == 25
+    up = CharTable(build_o1())
+    for tj in range(25):
+        assert flatten(up.hyperspin(tj)) == reference_hyperspin(up, tj)
+        assert len(up._spins) == tj + 1
+    rows = CharTable(build_o1())
+    rows.hyperspin_table(7)
+    assert len(rows._spins) == 8
+
+
 def test_hyperspin_rejects_negative():
     with pytest.raises(ValueError):
         ct().hyperspin(-1)
@@ -282,6 +296,16 @@ def test_hyperspin_rejects_a_2a_value_outside_z_phi(monkeypatch):
     assert table.by_label["2a"] == half
     with pytest.raises(ValueError, match="outside Z"):
         table.hyperspin(3)
+
+
+def test_z_phi_check_fires_on_every_call_of_a_bad_table(monkeypatch):
+    two_a = ct().by_label["2a"]
+    half = CharVector([Gold(1, 0, 2)] + flatten(two_a)[1:])
+    table = table_with(monkeypatch, "2a", half)
+    for tj in (0, 0, 5, 0):
+        with pytest.raises(ValueError, match="outside Z"):
+            table.hyperspin(tj)
+    assert table._spins == []
 
 
 def test_gauge_bookkeeping():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from icosian.census import q8_subgroups
 from icosian.groupkit import ClosureError, ConjugacyPartition, FiniteGroup
 from icosian.qmat2 import IDENTITY
 from icosian.quat import scalar_group
@@ -83,11 +84,14 @@ def test_conjugacy_classes_of_s3():
 
 
 def test_conj_idx_convention():
-    g = s3()
-    t = g.table
-    for x in range(len(g)):
+    for g in (s3(), gamma_group(), build_o1()):
+        t = g.table
         for y in range(len(g)):
-            assert g.conj_idx(x, y) == t[t[g.inverse[y]][x]][y]
+            row = g.conj_row(y)
+            assert g.conj_row(y) is row  # built once, then kept
+            for x in range(len(g)):
+                assert row[x] == g.conj_idx(x, y) == t[t[g.inverse[y]][x]][y]
+        assert len(g._conj_rows) == len(g)
 
 
 def test_subgroup_indices():
@@ -299,6 +303,26 @@ def test_generating_set():
             for k, x in enumerate(gens):
                 assert x not in g.subgroup_indices(gens[:k])
             assert 2 ** len(gens) <= len(h)
+
+
+def test_generating_sets_are_kept_once_per_subgroup():
+    g, fresh = build_o1(), FiniteGroup.closure(list(generators()), operator.mul, IDENTITY)
+    n = len(g)
+    q8_all, _ = q8_subgroups()
+    subs = {*q8_all, frozenset(range(n)), diagonal_subgroup()}
+    # one entry per distinct subgroup, whatever iterable names it
+    assert fresh.generating_set(range(n)) == fresh.generating_set(frozenset(range(n)))
+    assert len(fresh._generating_sets) == 1
+    for h in subs:
+        gens = g.generating_set(h)
+        assert g.generating_set(set(h)) is gens  # kept, under any iterable
+        assert gens == fresh.generating_set(sorted(h))
+        assert g.subgroup_indices(gens) == h
+    assert len(fresh._generating_sets) == len(subs)
+    # a set that is not a subgroup gets an answer but no entry
+    not_closed = frozenset({0, g.edges[0][1]})
+    assert fresh.subgroup_indices(fresh.generating_set(not_closed)) != not_closed
+    assert not_closed not in fresh._generating_sets
 
 
 def test_unstable_items_raise_when_only_a_later_generator_moves_them():
