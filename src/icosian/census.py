@@ -245,9 +245,6 @@ def order3_census() -> OrbitCensus:
     for c in _family_claims(G, census, inverse_pair):
         if not c.ok:
             raise ValueError(f"{c.name} fails: {c.actual}")
-    # the listed inverses pair up: (fh)^-1 = hf since f^2 = h^2 = -1
-    if G.inverse[word_index("fh")] != word_index("hf"):
-        raise ValueError("(fh)^-1 != hf")
     return census
 
 

@@ -143,6 +143,8 @@ class CharTable:
         read as two integer dot products of x with the irreducible's weight
         rows; the sum of m*y, over the least common q, must equal chi."""
         x, p = chi.ints, chi.den
+        if len(x) != 2 * len(self.classes):
+            raise ValueError(f"class function has {len(x) // 2} values, not {len(self.classes)}")
         den = lcm(*[irr.den for irr in self.irreducibles])
         mults: dict[str, int] = {}
         recon = [0] * len(x)

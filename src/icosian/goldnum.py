@@ -227,7 +227,7 @@ def dot_pairs(x: Sequence[int], y: Sequence[int],
               weights: Sequence[int]) -> tuple[int, int]:
     """sum of w*x*y on ``integer_pairs`` ints: its rational and sqrt5 parts."""
     rat = root = 0
-    for w, a, a5, b, b5 in zip(weights, x[0::2], x[1::2], y[0::2], y[1::2]):
+    for w, a, a5, b, b5 in zip(weights, x[0::2], x[1::2], y[0::2], y[1::2], strict=True):
         rat += w * (a * b + 5 * a5 * b5)
         root += w * (a * b5 + a5 * b)
     return rat, root

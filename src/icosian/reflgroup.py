@@ -1,10 +1,10 @@
 """The order-120 quaternionic reflection group on 2 spinor coordinates.
 
-The group G is closed once, from the f, g, h generator matrices.  Its words
-and subgroups (the diagonal subgroup, the group the 20 order-3 reflections
-of the 120 norm-3 roots generate) are index work on that closure's Cayley
-graph.  The order-32 relative is closed from the four gamma matrices of the
-signature-(1,3) Clifford algebra.
+The group G is closed once, from the f, g, h generator matrices.  Its
+defining relations, words and subgroups (the diagonal subgroup, the group
+the 20 order-3 reflections of the 120 norm-3 roots generate) are index work
+on that closure's Cayley graph, as are the Clifford relations of the order-32
+gamma group closed from the four gamma matrices of signature (1,3).
 """
 from __future__ import annotations
 
@@ -23,11 +23,11 @@ LETTERS = "fgh"  # the generators, in closure order
 
 @cache
 def generators() -> tuple[QMat2, QMat2, QMat2]:
-    """The (f, g, h) matrix generators; relations are enforced on construction.
+    """The (f, g, h) matrix generators; ``build_o1`` checks their relations.
 
-    f is built from the conjugate cube root w = omega^2: with omega itself the
-    relation (fg)^3 = 1 fails (it gives -1), so g = diag(omega, 1) pins the
-    other choice inside f.  Both choices satisfy the scalar relations.
+    f is built from the conjugate cube root w = omega^2: with omega itself G
+    still closes at 120 but (fg)^3 = -1, so only that relation fails; g =
+    diag(omega, 1) pins the choice.  Both satisfy the scalar relations.
     """
     w = OMEGA * OMEGA
     w2 = OMEGA
@@ -37,21 +37,33 @@ def generators() -> tuple[QMat2, QMat2, QMat2]:
     ).scale((w - w2) * THIRD)
     g = QMat2.diag(OMEGA, Q_ONE)
     h = QMat2.diag(PHI, PHI)
-    _check_relations(f, g, h)
     return f, g, h
 
 
-def _check_relations(f: QMat2, g: QMat2, h: QMat2) -> None:
-    neg = MINUS_IDENTITY
-    checks = [
-        (f * f, neg), (g * h * g * h, neg), (h * h, neg),
-        (g * g * g, IDENTITY),
-        ((f * g) * (f * g) * (f * g), IDENTITY),
-        ((f * h) * (f * h) * (f * h), IDENTITY),
-    ]
-    for got, want in checks:
-        if got != want:
-            raise ValueError("generator relation failed; wrong omega/phi convention")
+# A relation (lhs, sign, rhs) says lhs = sign * rhs in a group's letters, '' for 1
+G_RELATIONS = (("ff", -1, ""), ("ghgh", -1, ""), ("hh", -1, ""),
+               ("ggg", 1, ""), ("fgfgfg", 1, ""), ("fhfhfh", 1, ""))
+
+
+def closure_with_relations(gens: tuple[QMat2, ...], letters: str, relations: tuple,
+                           cap: int = 10_000) -> FiniteGroup[QMat2]:
+    """Close the group of the generators, one letter each, and read both
+    sides of each relation on its Cayley graph by ``word_index``, -1 along
+    the word of MINUS_IDENTITY.  Raises ValueError naming each failing one."""
+    group = FiniteGroup.closure(list(gens), mul, IDENTITY, cap=cap)
+    try:
+        minus = group.word(group.index(MINUS_IDENTITY))
+    except KeyError:  # no -I: each relation with sign -1 fails
+        minus = None
+    failed = []
+    for lhs, sign, rhs in relations:
+        prefix = () if sign > 0 else minus
+        if prefix is None or (group.word_index(map(letters.index, lhs))
+                              != group.word_index([*prefix, *map(letters.index, rhs)])):
+            failed.append(f"{lhs} = {'-' if sign < 0 else ''}{rhs or '1'}")
+    if failed:
+        raise ValueError(f"relations fail: {'; '.join(failed)}")
+    return group
 
 
 @cache
@@ -115,9 +127,9 @@ def reflection_matrices() -> tuple[QMat2, ...]:
 
 @cache
 def build_o1() -> FiniteGroup[QMat2]:
-    """The full group from the f, g, h generators; the check group.order
-    certifies that it closes at order 120."""
-    return FiniteGroup.closure(list(generators()), mul, IDENTITY)
+    """The full group from the f, g, h generators, G_RELATIONS checked on
+    its Cayley graph; the check group.order certifies that it closes at 120."""
+    return closure_with_relations(generators(), LETTERS, G_RELATIONS)
 
 
 def word_index(letters: str) -> int:
@@ -183,44 +195,32 @@ def two_reflection_census(group: FiniteGroup[QMat2]) -> int:
     return sum(1 for x in range(len(group)) if x not in refl and x in products)
 
 
+GAMMA_LETTERS = "0123"  # gamma_0 .. gamma_3, in closure order
+GAMMA_RELATIONS = (("00", 1, ""), ("11", -1, ""), ("22", -1, ""), ("33", -1, ""),
+                   ("01", -1, "10"), ("02", -1, "20"), ("03", -1, "30"),
+                   ("12", -1, "21"), ("13", -1, "31"), ("23", -1, "32"))
+
+
 @cache
 def gamma_matrices() -> tuple[QMat2, QMat2, QMat2, QMat2]:
     """Gamma matrices for signature (1,3) inside the 2x2 quaternion algebra."""
-    g0 = QMat2.diag(Q_ONE, -Q_ONE)
-    g1 = QMat2.offdiag(I, I)
-    g2 = QMat2.offdiag(J, J)
-    g3 = QMat2.offdiag(K, K)
-    gammas = (g0, g1, g2, g3)
-    for a in range(4):
-        sq = gammas[a] * gammas[a]
-        want = IDENTITY if a == 0 else MINUS_IDENTITY
-        if sq != want:
-            raise ValueError("gamma square has wrong sign")
-        for b in range(a + 1, 4):
-            if gammas[a] * gammas[b] != -(gammas[b] * gammas[a]):
-                raise ValueError("gamma matrices do not anticommute")
-    return gammas
+    return (QMat2.diag(Q_ONE, -Q_ONE), QMat2.offdiag(I, I),
+            QMat2.offdiag(J, J), QMat2.offdiag(K, K))
 
 
 @cache
 def gamma_group() -> FiniteGroup[QMat2]:
-    """The finite group generated by the gammas; the check gamma.group
-    certifies that it closes at order 32."""
-    return FiniteGroup.closure(list(gamma_matrices()), mul, IDENTITY, cap=1000)
+    """The group the gammas generate, GAMMA_RELATIONS checked on its Cayley
+    graph; the check gamma.group certifies that it closes at order 32."""
+    return closure_with_relations(gamma_matrices(), GAMMA_LETTERS, GAMMA_RELATIONS, cap=1000)
 
 
-def gamma_reflections() -> tuple[list[QMat2], list[QMat2]]:
-    """(census, expected): non-central involutions vs the ten listed products."""
+def gamma_reflections() -> tuple[list[int], list[int]]:
+    """(census, expected) as indices: non-central involutions vs the listed words."""
     group = gamma_group()
-    t = group.table
+    t, minus = group.table, group.index(MINUS_IDENTITY)
     central = {i for cls in group.conjugacy.classes if len(cls) == 1 for i in cls}
-    census = [
-        group.elements[i]
-        for i in range(len(group))
-        if i not in central and t[i][i] == 0
-    ]
-    g0, g1, g2, g3 = gamma_matrices()
-    listed = []
-    for m in (g0, g0 * g1, g0 * g2, g0 * g3, g1 * g2 * g3):
-        listed += [m, -m]
-    return census, listed
+    census = [i for i in range(len(group)) if i not in central and t[i][i] == 0]
+    listed = [group.word_index(map(GAMMA_LETTERS.index, w))
+              for w in ("0", "01", "02", "03", "123")]
+    return census, listed + [t[minus][i] for i in listed]

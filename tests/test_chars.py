@@ -179,6 +179,18 @@ def test_sum_tensor_identities():
         table.decompose(table.by_label["2a"] * s)) == "1+3a+4a"
 
 
+def test_a_class_function_of_the_wrong_length_is_rejected():
+    # the trivial character cut to 8 classes: inner and decompose raise
+    # instead of reading the missing class as absent
+    table = ct()
+    chi1 = table.by_label["1"]
+    short = CharVector(flatten(chi1)[:8])
+    with pytest.raises(ValueError):
+        table.inner(short, chi1)
+    with pytest.raises(ValueError, match="8 values, not 9"):
+        table.decompose(short)
+
+
 def test_decompose_rejects_non_character():
     table = ct()
     bogus = CharVector(tuple(Gold(1, 1, 2) for _ in table.classes))

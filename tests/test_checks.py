@@ -4,11 +4,12 @@ import pytest
 
 from icosian import census, checks, reflgroup
 from icosian.chars import CharVector, char_table
-from icosian.checks import REGISTRY, Claimed, VerificationReport, check
+from icosian.checks import REGISTRY, Claimed, VerificationReport, check, run_checks
 from icosian.claim import Claim
 from icosian.goldnum import Gold, flatten
+from icosian.qmat2 import QMat2
 from icosian.quat import Quat
-from icosian.reflgroup import build_o1
+from icosian.reflgroup import build_o1, gamma_group
 
 
 def test_claim_to_json_is_the_report_dict():
@@ -125,3 +126,31 @@ def test_chars_tensor_names_the_factors_of_a_failure(monkeypatch):
     r = registered("chars.tensor")()
     assert r.status == "fail"
     assert r.actual == "(2b)*(4b) = 3b+5 != 3a+5"
+
+
+def test_relation_and_clifford_checks_make_no_matrix_products(monkeypatch):
+    # once G and the gamma group are closed, their relations, orders and
+    # involutions are read off the Cayley graphs
+    build_o1(), gamma_group()
+    calls = 0
+    mul = QMat2.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(QMat2, "__mul__", counting_mul)
+    assert run_checks("group").ok and run_checks("gamma").ok
+    assert calls == 0
+
+
+def test_a_failing_relation_turns_every_check_on_g_red(monkeypatch):
+    # a G closed under a mistyped relation table raises, so no check reads it
+    mistyped = tuple(("fgfgf", 1, "") if rel == ("fgfgfg", 1, "") else rel
+                     for rel in reflgroup.G_RELATIONS)
+    monkeypatch.setattr(reflgroup, "build_o1", lambda: reflgroup.closure_with_relations(
+        reflgroup.generators(), reflgroup.LETTERS, mistyped))
+    report = run_checks("group")
+    assert [(r.status, r.actual) for r in report.results] == [
+        ("fail", "relations fail: fgfgf = 1")] * 2

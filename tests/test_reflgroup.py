@@ -1,14 +1,26 @@
+from functools import reduce
+from operator import mul
+
+import pytest
+
 from icosian.goldnum import integer_pairs
 from icosian.groupkit import FiniteGroup
 from icosian.linalg import rank
-from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, Spinor2, spinor_norm2
+from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
 from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 from icosian.reflgroup import (
+    GAMMA_LETTERS,
+    GAMMA_RELATIONS,
+    G_RELATIONS,
+    LETTERS,
+    THIRD,
     base_spinors,
     build_o1,
+    closure_with_relations,
     diagonal_subgroup,
     fixed_space_dim,
     gamma_group,
+    gamma_matrices,
     gamma_reflections,
     generators,
     group_reflections,
@@ -32,6 +44,71 @@ def test_generator_relations():
     assert fg * fg * fg == IDENTITY
     fh = f * h
     assert fh * fh * fh == IDENTITY
+
+
+def word_product(gens, letters, word):
+    """Reference: the matrix product of a word, one QMat2 product per letter."""
+    return reduce(mul, (gens[letters.index(c)] for c in word), IDENTITY)
+
+
+def test_relation_tables_are_the_defining_relations():
+    # f^2 = (gh)^2 = h^2 = -1 and g^3 = (fg)^3 = (fh)^3 = 1; the Clifford
+    # relations g0^2 = 1, ga^2 = -1 and ga gb = -gb ga
+    assert set(G_RELATIONS) == {("ff", -1, ""), ("ghgh", -1, ""), ("hh", -1, ""),
+                                ("ggg", 1, ""), ("fgfgfg", 1, ""), ("fhfhfh", 1, "")}
+    squares = {("00", 1, ""), ("11", -1, ""), ("22", -1, ""), ("33", -1, "")}
+    anticommute = {(a + b, -1, b + a) for a in "0123" for b in "0123" if a < b}
+    assert set(GAMMA_RELATIONS) == squares | anticommute
+    assert len(GAMMA_RELATIONS) == 10
+
+
+@pytest.mark.parametrize("gens, letters, relations", [
+    (generators(), LETTERS, G_RELATIONS),
+    (gamma_matrices(), GAMMA_LETTERS, GAMMA_RELATIONS),
+], ids=["G", "gamma"])
+def test_relation_words_hold_by_matrix_products(gens, letters, relations):
+    # the exact oracle, independent of the Cayley graph: each lhs = +-rhs on
+    # the matrices themselves, so a word with rhs '' is +-IDENTITY
+    for lhs, sign, rhs in relations:
+        want = word_product(gens, letters, rhs)
+        assert word_product(gens, letters, lhs) == (want if sign > 0 else -want)
+
+
+def test_a_mistyped_relation_word_is_named():
+    mistyped = tuple(("fgfgf", 1, "") if rel == ("fgfgfg", 1, "") else rel
+                     for rel in G_RELATIONS)
+    with pytest.raises(ValueError) as err:
+        closure_with_relations(generators(), LETTERS, mistyped)
+    assert str(err.value) == "relations fail: fgfgf = 1"
+
+
+def test_the_omega_convention_is_caught_by_the_relations_only():
+    # f built from omega instead of omega^2 (see the generators docstring):
+    # the group still closes at 120, and only (fg)^3 = 1 fails
+    w, w2 = OMEGA, OMEGA * OMEGA
+    f = QMat2(Q_ONE, w2 * PHI - w, w2 * PHI - w2, w * PHI).scale((w - w2) * THIRD)
+    _, g, h = generators()
+    assert len(FiniteGroup.closure([f, g, h], mul, IDENTITY)) == 120
+    with pytest.raises(ValueError) as err:
+        closure_with_relations((f, g, h), LETTERS, G_RELATIONS)
+    assert str(err.value) == "relations fail: fgfgfg = 1"
+
+
+def test_a_flipped_clifford_sign_is_named():
+    flipped = tuple(("01", 1, "10") if rel == ("01", -1, "10") else rel
+                    for rel in GAMMA_RELATIONS)
+    with pytest.raises(ValueError) as err:
+        closure_with_relations(gamma_matrices(), GAMMA_LETTERS, flipped)
+    assert str(err.value) == "relations fail: 01 = 10"
+
+
+def test_a_group_without_minus_identity_fails_its_signed_relations():
+    # <g0> = {1, g0} holds no -1: g0^2 = 1 holds and g0^2 = -1 fails by
+    # ValueError, not by a KeyError from the index lookup
+    g0 = gamma_matrices()[0]
+    with pytest.raises(ValueError) as err:
+        closure_with_relations((g0,), "0", (("00", 1, ""), ("00", -1, "")))
+    assert str(err.value) == "relations fail: 00 = -1"
 
 
 def test_g_and_h_do_not_commute():
@@ -202,10 +279,16 @@ def test_gamma_group_order_32():
 
 
 def test_gamma_reflections_are_the_ten_listed():
+    group = gamma_group()
     found, listed = gamma_reflections()
     assert len(found) == 10
     assert set(found) == set(listed)
-    assert all(m * m == IDENTITY for m in found)
+    assert all(m * m == IDENTITY for m in (group.elements[i] for i in found))
+    # the listed words 0, 01, 02, 03, 123 and their negatives are the
+    # matrix products they name
+    g0, g1, g2, g3 = gamma_matrices()
+    products = [g0, g0 * g1, g0 * g2, g0 * g3, g1 * g2 * g3]
+    assert [group.elements[i] for i in listed] == products + [-m for m in products]
 
 
 def test_gamma_centre_is_its_size_one_classes():
