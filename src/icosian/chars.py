@@ -37,7 +37,7 @@ class CharVector(GoldVector):
         # pointwise (a + b*sqrt5)(c + d*sqrt5) = (ac + 5bd) + (ad + bc)*sqrt5
         x, y = self.ints, other.ints
         out = []
-        for a, b, c, d in zip(x[0::2], x[1::2], y[0::2], y[1::2]):
+        for a, b, c, d in zip(x[0::2], x[1::2], y[0::2], y[1::2], strict=True):
             out += (a * c + 5 * b * d, a * d + b * c)
         return CharVector._reduced(out, self.den * other.den)
 

@@ -200,13 +200,15 @@ class GoldVector:
         if other.__class__ is not self.__class__:
             return NotImplemented
         p, q = self.den, other.den
-        return self._reduced([x * q + y * p for x, y in zip(self.ints, other.ints)], p * q)
+        pairs = zip(self.ints, other.ints, strict=True)
+        return self._reduced([x * q + y * p for x, y in pairs], p * q)
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         p, q = self.den, other.den
-        return self._reduced([x * q - y * p for x, y in zip(self.ints, other.ints)], p * q)
+        pairs = zip(self.ints, other.ints, strict=True)
+        return self._reduced([x * q - y * p for x, y in pairs], p * q)
 
     def __neg__(self):
         return self._canonical(tuple([-x for x in self.ints]), self.den)

@@ -10,8 +10,9 @@ generating set of a subgroup) is kept for the next one.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Generic, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -181,7 +182,7 @@ class FiniteGroup(Generic[T]):
         argument).  Classes are ordered by element order, then size, then
         smallest index."""
         n = len(self.elements)
-        orbits = self.conjugation_orbits(range(n), [frozenset({i}) for i in range(n)])
+        orbits = self.conjugation_orbits(self.whole, [frozenset({i}) for i in range(n)])
         classes = tuple(sorted(
             orbits, key=lambda c: (self.element_order(min(c)), len(c), min(c))))
         class_of = [0] * n
@@ -192,19 +193,36 @@ class FiniteGroup(Generic[T]):
 
     # -- subgroups ------------------------------------------------------
 
+    @cached_property
+    def whole(self) -> frozenset[int]:
+        """Every index: the group as its own subgroup, one shared set."""
+        return frozenset(range(len(self.elements)))
+
     def subgroup_indices(self, gen_indices: Iterable[int]) -> frozenset[int]:
-        """Smallest subgroup containing the given elements, as an index set."""
+        """Smallest subgroup containing the given elements, as an index set.
+
+        A breadth-first closure on the Cayley table that stops at Lagrange's
+        bound: the elements reached all lie in the subgroup H generated, and
+        a proper subgroup has index at least 2, so at most half the group's
+        elements.  Once more than ``len(self) // 2`` are reached, H is the
+        whole group, and ``whole`` is returned, one shared set, so the memos
+        keyed on it (``generating_set``, ``spans.subgroup_span_dim``) find
+        it by identity.
+        """
         t = self.table
-        seen = {0}
         gens = list(dict.fromkeys(gen_indices))
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
+        half = len(self.elements) // 2
+        seen = {0}
+        queue = [0]
+        for i in queue:  # the list grows as the closure runs
+            row = t[i]
             for g in gens:
-                p = t[i][g]
+                p = row[g]
                 if p not in seen:
                     seen.add(p)
                     queue.append(p)
+            if len(seen) > half:
+                return self.whole
         return frozenset(seen)
 
     def generating_set(self, indices: Iterable[int]) -> tuple[int, ...]:
@@ -264,8 +282,14 @@ class FiniteGroup(Generic[T]):
     ) -> list[frozenset[int]]:
         """Partition item sets into orbits under conjugation by the given subgroup.
 
-        Items are element-index sets (e.g. {x, -x} pairs); conjugation must map
-        each item onto an item, otherwise the action is not well defined.
+        Items are non-empty, pairwise disjoint element-index sets (e.g.
+        {x, -x} pairs); an empty or overlapping item raises ``ClosureError``.
+        Conjugation must map each item onto an item, otherwise the action is
+        not well defined.  Each generator's action on the items is read as
+        an index map, through one element -> item map built per call: every
+        member of an item must land in one item, of the same size.  Since
+        conjugation is injective and the items are disjoint, that says the
+        item's image is that item.
 
         Only a generating set of H acts (``generating_set``), which is sound:
         conjugation by a generator is a bijection of G, so it maps the finite
@@ -276,31 +300,34 @@ class FiniteGroup(Generic[T]):
         inverse in a finite group is a positive power, the H-orbits are the
         components reached by following the generators' images forward.
         """
-        item_index = {item: k for k, item in enumerate(items)}
-        rows = [self.conj_row(y) for y in self.generating_set(h_indices)]
-        images = []
-        for item in items:
-            row = []
-            for conj in rows:
-                img = frozenset([conj[i] for i in item])
-                if img not in item_index:
-                    raise ClosureError("conjugation does not preserve the item set")
-                row.append(item_index[img])
-            images.append(row)
+        sizes = [len(item) for item in items]
+        where = {x: k for k, item in enumerate(items) for x in item}
+        if 0 in sizes or len(where) != sum(sizes):
+            raise ClosureError("items must be non-empty and disjoint")
+        # members run item by item in ``where``: owner[i] is the item of the
+        # i-th member, and starts[k] the position of item k's first member
+        owner = list(where.values())
+        starts = list(accumulate(sizes, initial=0))[:-1]
+        perms = []
+        for y in self.generating_set(h_indices):
+            landed = list(map(where.get, map(self.conj_row(y).__getitem__, where)))
+            perm = [landed[s] for s in starts]
+            if (None in perm or [perm[k] for k in owner] != landed
+                    or [sizes[j] for j in perm] != sizes):
+                raise ClosureError("conjugation does not preserve the item set")
+            perms.append(perm)
         seen = [False] * len(items)
         orbits = []
         for k in range(len(items)):
             if seen[k]:
                 continue
-            orbit = set()
-            queue = deque([k])
             seen[k] = True
-            while queue:
-                m = queue.popleft()
-                orbit.add(m)
-                for img in images[m]:
-                    if not seen[img]:
-                        seen[img] = True
-                        queue.append(img)
+            orbit = [k]
+            for m in orbit:  # the list grows as the orbit is found
+                for perm in perms:
+                    j = perm[m]
+                    if not seen[j]:
+                        seen[j] = True
+                        orbit.append(j)
             orbits.append(frozenset(orbit))
         return orbits

@@ -16,9 +16,9 @@ from collections.abc import Sequence
 from math import gcd
 
 
-def _primitive(v: list[int]) -> list[int]:
+def _primitive(v: Sequence[int]) -> list[int]:
     g = gcd(*v)
-    return [x // g for x in v] if g > 1 else v
+    return [x // g for x in v] if g > 1 else list(v)
 
 
 def _partner(v: Sequence[int]) -> list[int]:
@@ -82,12 +82,17 @@ class Echelon:
         if free is None:
             return False
         pivot, v = free
-        # multiply by the conjugate of the pivot entry, whose norm then sits
-        # at the pivot as a rational integer; make it positive
         c, d = v[0], v[1]
-        if c * c - 5 * d * d < 0:
-            c, d = -c, -d
-        row = _primitive([c * x - d * z for x, z in zip(v, _partner(v))])
+        if d:
+            # multiply by the conjugate of the pivot entry, whose norm then
+            # sits at the pivot as a rational integer; make it positive
+            if c * c - 5 * d * d < 0:
+                c, d = -c, -d
+            v = [c * x - d * z for x, z in zip(v, _partner(v))]
+        elif c < 0:
+            # a rational pivot only needs its sign made positive
+            v = [-x for x in v]
+        row = _primitive(v)
         if not row[1] == 0 < row[0]:
             raise ArithmeticError(f"pivot entry {row[0]}, {row[1]} is not a positive"
                                   " rational integer")

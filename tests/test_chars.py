@@ -1,7 +1,7 @@
 import copy
 from functools import reduce
 from itertools import combinations_with_replacement
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given
@@ -189,6 +189,16 @@ def test_a_class_function_of_the_wrong_length_is_rejected():
         table.inner(short, chi1)
     with pytest.raises(ValueError, match="8 values, not 9"):
         table.decompose(short)
+
+
+def test_class_functions_of_different_lengths_do_not_combine():
+    # 2a cut to 8 classes against the full 2a: each operation raises
+    # instead of dropping the ninth class
+    chi = ct().by_label["2a"]
+    short = CharVector(flatten(chi)[:8])
+    for combine in (mul, add, sub):
+        with pytest.raises(ValueError):
+            combine(short, chi)
 
 
 def test_decompose_rejects_non_character():

@@ -141,6 +141,28 @@ def test_conjugation_orbits_rejects_unstable_items():
         g.conjugation_orbits(range(len(g)), [frozenset({one_transposition})])
 
 
+def test_conjugation_orbits_reject_empty_and_overlapping_items():
+    g, s = build_o1(), s3()
+    minus = g.index(-IDENTITY)
+    # conjugation fixes 1 and -1, so each item is mapped onto itself; the
+    # items still overlap in the identity
+    with pytest.raises(ClosureError):
+        g.conjugation_orbits(range(len(g)), [frozenset({0}), frozenset({0, minus})])
+    # the trivial subgroup acts by no generator at all
+    with pytest.raises(ClosureError):
+        s.conjugation_orbits([0], [frozenset({0}), frozenset({0, 1})])
+    for items in ([frozenset(), frozenset({0})], [frozenset({0}), frozenset()]):
+        with pytest.raises(ClosureError):
+            s.conjugation_orbits(range(len(s)), items)
+
+
+def test_an_item_sent_into_a_larger_item_raises():
+    g = s3()
+    t1, t2, t3 = (i for i in range(len(g)) if g.element_order(i) == 2)
+    with pytest.raises(ClosureError):
+        g.conjugation_orbits(range(len(g)), [frozenset({t1}), frozenset({t2, t3})])
+
+
 # the table is composed from generator edges; the exhaustive product of
 # every pair is the reference these compare it with
 
@@ -303,6 +325,41 @@ def test_generating_set():
             for k, x in enumerate(gens):
                 assert x not in g.subgroup_indices(gens[:k])
             assert 2 ** len(gens) <= len(h)
+
+
+def closure_to_the_end(g, gens):
+    """The breadth-first closure on the table with no stop at Lagrange's
+    bound."""
+    t = g.table
+    seen, queue = {0}, [0]
+    for i in queue:
+        for s in gens:
+            p = t[i][s]
+            if p not in seen:
+                seen.add(p)
+                queue.append(p)
+    return frozenset(seen)
+
+
+def test_subgroup_closures_match_the_closure_without_the_lagrange_stop():
+    # the gamma group has subgroups of order 16, half of 32, and S3 has A3
+    # of order 3, half of 6: a stop at half the group, not past it, fails
+    for g, subs, _ in reference_cases():
+        for h in subs:
+            gens = list(g.generating_set(h))
+            for x in range(len(g)):
+                assert g.subgroup_indices(gens + [x]) == closure_to_the_end(g, gens + [x])
+    assert any(len(h) == 16 for h in all_subgroups(gamma_group()))
+    assert any(len(h) == 3 for h in all_subgroups(s3()))
+
+
+def test_closures_of_the_whole_group_share_one_set():
+    for g in small_groups():
+        assert g.whole == frozenset(range(len(g)))
+        assert g.subgroup_indices(g.generating_set(range(len(g)))) is g.whole
+        assert g.subgroup_indices(range(len(g))) is g.whole
+    g = build_o1()
+    assert g.subgroup_indices(g.edges[0]) is g.whole  # f, g, h
 
 
 def test_generating_sets_are_kept_once_per_subgroup():

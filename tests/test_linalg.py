@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icosian import linalg
@@ -113,6 +113,10 @@ def planted_systems(draw):
 
 
 @given(planted_systems())
+# a negative rational pivot, which only changes sign, and a pivot with a
+# sqrt5 part, which is multiplied by its conjugate
+@example(([[Gold(-3), Gold(1, 1, 2)], [Gold(2), Gold(5)]], [[Gold(1), Gold(0, 1)]]))
+@example(([[Gold(1, -1, 2), Gold(3)], [Gold(0, 1), Gold(1, 1)]], [[Gold(2), Gold(1)]]))
 def test_elimination_agrees_with_reference(system):
     rows, probes = system
     ref, ech = ReferenceEchelon(), Echelon(len(rows[0]))
@@ -124,6 +128,7 @@ def test_elimination_agrees_with_reference(system):
     # one content gcd per new row leaves the stored rows as they are when v
     # is made primitive after every elimination step
     assert ech.rows == per_step.stored_rows()
+    assert all(row[1] == 0 < row[0] for row in ech.rows if row is not None)
     for p in probes + rows:
         assert ech.contains(ints(p)) == ref.contains(p)
 
