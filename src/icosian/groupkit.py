@@ -6,7 +6,8 @@ closure records the right-Cayley graph, and the multiplication is called only
 on its generator edges; the Cayley table and every further query (orders,
 conjugacy, subgroups, orbits) is integer index work on that graph.  What a
 query derives from the group alone (a conjugation permutation, the
-generating set of a subgroup) is kept for the next one.
+generating set of a subgroup, the index maps of an orbit item family) is
+kept for the next one.
 """
 from __future__ import annotations
 
@@ -25,6 +26,17 @@ class ClosureError(RuntimeError):
 class ConjugacyPartition(NamedTuple):
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
+
+
+class _ItemFamily(NamedTuple):
+    """The index maps of one orbit item family: ``where`` sends each member
+    to its item, members run item by item in it, ``owner[i]`` is the item of
+    the i-th member and ``starts[k]`` the position of item k's first member;
+    ``perms`` holds each conjugating element's validated item permutation."""
+    where: dict[int, int]
+    owner: list[int]
+    starts: list[int]
+    perms: dict[int, list[int]]
 
 
 class FiniteGroup(Generic[T]):
@@ -51,9 +63,10 @@ class FiniteGroup(Generic[T]):
         self.parent = parent
         self.letter = letter
         # kept on first use: conjugation permutations by conjugating element
-        # (at most |G|), and generating sets by subgroup
+        # (at most |G|), generating sets by subgroup, and orbit item families
         self._conj_rows: dict[int, tuple[int, ...]] = {}
         self._generating_sets: dict[frozenset[int], tuple[int, ...]] = {}
+        self._families: dict[tuple[frozenset[int], ...], _ItemFamily] = {}
 
     @classmethod
     def closure(
@@ -286,10 +299,18 @@ class FiniteGroup(Generic[T]):
         {x, -x} pairs); an empty or overlapping item raises ``ClosureError``.
         Conjugation must map each item onto an item, otherwise the action is
         not well defined.  Each generator's action on the items is read as
-        an index map, through one element -> item map built per call: every
-        member of an item must land in one item, of the same size.  Since
-        conjugation is injective and the items are disjoint, that says the
-        item's image is that item.
+        an index map, through the family's element -> item map: every member
+        of an item must land in one item.  That makes the image an item, by
+        counting: a conjugation c is injective and maps the finite union U
+        of the items into U, so it permutes U.  Each item is then the union
+        of the images of the items that land in it, so, the items being
+        non-empty, every item is landed in; the map on items is onto, hence
+        a permutation, and each item is the image of the one item landing
+        in it, of its own size.  The family's index maps and each
+        conjugating element's permutation, once validated, are kept under
+        ``tuple(items)``: at most |G| permutations per family.  A family
+        that is not disjoint, and a permutation that fails, is not kept, so
+        a repeated call raises again.
 
         Only a generating set of H acts (``generating_set``), which is sound:
         conjugation by a generator is a bijection of G, so it maps the finite
@@ -300,21 +321,25 @@ class FiniteGroup(Generic[T]):
         inverse in a finite group is a positive power, the H-orbits are the
         components reached by following the generators' images forward.
         """
-        sizes = [len(item) for item in items]
-        where = {x: k for k, item in enumerate(items) for x in item}
-        if 0 in sizes or len(where) != sum(sizes):
-            raise ClosureError("items must be non-empty and disjoint")
-        # members run item by item in ``where``: owner[i] is the item of the
-        # i-th member, and starts[k] the position of item k's first member
-        owner = list(where.values())
-        starts = list(accumulate(sizes, initial=0))[:-1]
+        key = tuple(items)
+        family = self._families.get(key)
+        if family is None:
+            sizes = [len(item) for item in items]
+            where = {x: k for k, item in enumerate(items) for x in item}
+            if 0 in sizes or len(where) != sum(sizes):
+                raise ClosureError("items must be non-empty and disjoint")
+            family = self._families[key] = _ItemFamily(
+                where, list(where.values()), list(accumulate(sizes, initial=0))[:-1], {})
+        where, owner, starts, kept = family
         perms = []
         for y in self.generating_set(h_indices):
-            landed = list(map(where.get, map(self.conj_row(y).__getitem__, where)))
-            perm = [landed[s] for s in starts]
-            if (None in perm or [perm[k] for k in owner] != landed
-                    or [sizes[j] for j in perm] != sizes):
-                raise ClosureError("conjugation does not preserve the item set")
+            perm = kept.get(y)
+            if perm is None:
+                landed = list(map(where.get, map(self.conj_row(y).__getitem__, where)))
+                perm = [landed[s] for s in starts]
+                if None in perm or [perm[k] for k in owner] != landed:
+                    raise ClosureError("conjugation does not preserve the item set")
+                kept[y] = perm
             perms.append(perm)
         seen = [False] * len(items)
         orbits = []

@@ -13,7 +13,6 @@ from operator import mul
 
 from .goldnum import Gold
 from .groupkit import FiniteGroup
-from .linalg import rank
 from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
@@ -156,34 +155,20 @@ def diagonal_subgroup() -> frozenset[int]:
     return build_o1().subgroup_indices([word_index("g"), word_index("h")])
 
 
-# left multiplication by q = w + xi + yj + zk as a 4x4 matrix on (w, x, y, z):
-# entry (k, c) is sign * q[component] for the pair at position c of row k
-_LEFT_MUL = (
-    ((0, 1), (1, -1), (2, -1), (3, -1)),
-    ((1, 1), (0, 1), (3, -1), (2, 1)),
-    ((2, 1), (3, 1), (0, 1), (1, -1)),
-    ((3, 1), (2, -1), (1, 1), (0, 1)),
-)
-
-
-def fixed_space_dim(m: QMat2) -> int:
-    """Golden-field dimension of {x : m x = x}: 8 minus the rank of the 8x8
-    exact system of m - 1.  Each row is a signed permutation of one block
-    row's Z[sqrt5] integers (the left-multiplication rows of its two
-    entries), read straight off ``(m - 1).ints``."""
-    d = (m - IDENTITY).ints
-    rows = [[sign * d[start + 8 * half + 2 * c + part]
-             for half in (0, 1) for c, sign in pattern for part in (0, 1)]
-            for start in (0, 16) for pattern in _LEFT_MUL]
-    return 8 - rank(rows)
-
-
 def group_reflections(group: FiniteGroup[QMat2]) -> list[int]:
-    """Indices of order-3 elements with a nontrivial fixed space."""
+    """Indices of order-3 elements with a nontrivial fixed space.
+
+    For m with m^3 = 1, (1 + m + m^2)/3 projects onto Fix(m) = {x : m x = x}:
+    (m - 1)(1 + m + m^2) = m^3 - 1 = 0, so its image is fixed, and it is the
+    identity on a fixed vector.  So Fix(m) is nonzero exactly when
+    1 + m + m^2 is, with m^2 read off the table.
+    """
+    t, elements = group.table, group.elements
     return [
         i
         for i in range(len(group))
-        if group.element_order(i) == 3 and fixed_space_dim(group.elements[i]) > 0
+        if group.element_order(i) == 3
+        and any((IDENTITY + elements[i] + elements[t[i][i]]).ints)
     ]
 
 

@@ -3,14 +3,18 @@
 A 2x2 quaternion matrix has 16 golden-field coordinates, held as 32 Z[sqrt5]
 integers over one denominator (``QMat2.ints``); spans and product-closures
 pass those integers straight to the exact elimination, so neither builds a
-Gold value (``flatten`` gives the coordinates as Golds).  The reports certify
-the small generated algebras (the commutative rank-3 one, its rank-6
-extension with a complex corner and a quaternion corner, and the full
-16-dimensional algebra generated by the reflections).
+Gold value (``flatten`` gives the coordinates as Golds).  Up to 16 elements
+of G are ranked instead by their Gram matrix under the trace form, read off
+the Cayley table and one trace value per element.  The reports certify the
+small generated algebras (the commutative rank-3 one, its rank-6 extension
+with a complex corner and a quaternion corner, and the full 16-dimensional
+algebra generated by the reflections).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
+from math import lcm
 
 from .claim import Claim
 from .goldnum import Gold, flatten  # noqa: F401  (re-exported: the coordinates as Golds)
@@ -21,7 +25,72 @@ from .reflgroup import THIRD, build_o1, generators, reflection_matrices
 
 
 def span_dim(mats: list[QMat2]) -> int:
+    """Golden-field dimension of the span of the matrices.
+
+    Up to 16 elements of G take the Gram route (``gram_rank``), by their
+    indices; any other matrix, and more than 16 inputs, are ranked on their
+    32 integers each, an elimination that stops at rank 16.
+    """
+    if len(mats) <= 16:
+        index = build_o1().index
+        try:
+            indices = [index(m) for m in mats]
+        except KeyError:  # a matrix outside G: only its own rows rank it
+            pass
+        else:
+            return gram_rank(indices)
     return rank([m.ints for m in mats])
+
+
+def trace_pairs(elements: Sequence[QMat2], inverse: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """tau(m) = Re m11 + Re m22 of each element, as Z[sqrt5] integer pairs
+    over one common denominator, read off ``ints[0:2]`` and ``ints[24:26]``.
+
+    The group must be unitary, x* = x^-1, for ``gram_rank`` to be sound, so
+    every element's conjugate transpose is first compared, on the integers,
+    with the element ``inverse`` names; a mismatch raises ValueError.
+    """
+    for m, k in zip(elements, inverse, strict=True):
+        ints = m.ints
+        adjoint = tuple([v if p < 2 else -v for start in (0, 16, 8, 24)
+                         for p, v in enumerate(ints[start:start + 8])])
+        if adjoint != elements[k].ints or m.den != elements[k].den:
+            raise ValueError(f"{m!r} is not unitary: its conjugate transpose"
+                             " is not its inverse")
+    den = lcm(*[m.den for m in elements])
+    return tuple([((m.ints[0] + m.ints[24]) * (den // m.den),
+                   (m.ints[1] + m.ints[25]) * (den // m.den)) for m in elements])
+
+
+@cache
+def g_trace_pairs() -> tuple[tuple[int, int], ...]:
+    """``trace_pairs`` of G, built on the first Gram query and kept."""
+    group = build_o1()
+    return trace_pairs(group.elements, group.inverse)
+
+
+def gram_rank(indices: Sequence[int]) -> int:
+    """Rank of the span of the elements of G with these indices, as the rank
+    of their Gram matrix [tau(x_i^-1 x_j)], with x_i^-1 x_j read off the
+    Cayley table.
+
+    Sound since G is unitary (``trace_pairs`` checks it): x* = x^-1, so
+    tau(x^-1 y) = Re tr(x* y), the sum over the 16 coordinates of x times
+    those of y, as Re(conj(a) b) is the dot product of quaternions a, b.
+    So the Gram matrix is A A^T for the k x 16 coordinate matrix A.  Under
+    either real embedding of Q(sqrt5), which changes no rank, that form is
+    a sum of squares, positive definite: A A^T v = 0 gives
+    |A^T v|^2 = v^T A A^T v = 0, so A^T v = 0.  The two kernels agree, so
+    the Gram matrix has the rank of the vectors, and k inputs make a k x k
+    system in place of k rows of 16 coordinates.
+    """
+    group = build_o1()
+    table, inverse, tau = group.table, group.inverse, g_trace_pairs()
+    rows = []
+    for i in indices:
+        row = table[inverse[i]]
+        rows.append([v for j in indices for v in tau[row[j]]])
+    return rank(rows)
 
 
 def algebra_closure(mats: list[QMat2]) -> tuple[int, list[QMat2]]:

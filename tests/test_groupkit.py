@@ -394,6 +394,55 @@ def test_unstable_items_raise_when_only_a_later_generator_moves_them():
         g.conjugation_orbits(range(len(g)), items)
 
 
+def test_repeated_orbit_queries_match_the_reference():
+    # a fresh group, so the first pass builds each family's index maps and
+    # permutations and the second reads them back
+    g = FiniteGroup.closure(list(generators()), operator.mul, IDENTITY)
+    families = g_families(g)
+    rng = random.Random(24)
+    subs = [g.subgroup_indices(rng.randrange(len(g)) for _ in range(rng.randint(1, 2)))
+            for _ in range(15)]
+    for _ in range(2):
+        for h in subs:
+            for items in families:
+                assert g.conjugation_orbits(h, items) == \
+                    reference_conjugation_orbits(g, h, items)
+
+
+def test_item_families_are_kept_once_with_at_most_one_permutation_per_element():
+    g = FiniteGroup.closure(list(generators()), operator.mul, IDENTITY)
+    families = g_families(g)
+    for h in [*g_subgroups(), g.whole]:
+        for items in families:
+            g.conjugation_orbits(h, items)
+            g.conjugation_orbits(h, list(items))  # the same family, another list
+    g.conjugacy
+    assert len(g._families) == len(families) + 1  # and the single elements
+    for items in families:
+        assert set(g._families[tuple(items)].perms) <= set(range(len(g)))
+    for family in g._families.values():
+        assert 0 < len(family.perms) <= len(g)
+    # a family that is not disjoint, or has an empty item, is not kept
+    minus = g.index(-IDENTITY)
+    for items in ([frozenset({0}), frozenset({0, minus})], [frozenset()]):
+        for _ in range(2):
+            with pytest.raises(ClosureError):
+                g.conjugation_orbits(g.whole, items)
+        assert tuple(items) not in g._families
+
+
+def test_unstable_items_raise_on_every_call():
+    g = s3()
+    a, b = g.generating_set(range(len(g)))
+    items = [frozenset({0}), frozenset({a})]
+    for _ in range(3):
+        with pytest.raises(ClosureError):
+            g.conjugation_orbits(range(len(g)), items)
+    # the first generator's permutation held and is kept; the second's failed
+    assert set(g._families[tuple(items)].perms) == {a}
+    assert g.conjugation_orbits([0, a], items) == [frozenset({0}), frozenset({1})]
+
+
 def test_is_maximal_closes_few_generators(monkeypatch):
     g = build_o1()
     sizes = []

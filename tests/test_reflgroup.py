@@ -18,7 +18,6 @@ from icosian.reflgroup import (
     build_o1,
     closure_with_relations,
     diagonal_subgroup,
-    fixed_space_dim,
     gamma_group,
     gamma_matrices,
     gamma_reflections,
@@ -207,6 +206,44 @@ def test_fixed_space_census_matches_reflections():
     g = build_o1()
     refl_idx = {g.index(m) for m in reflection_matrices()}
     assert set(group_reflections(g)) == refl_idx
+
+
+# left multiplication by q = w + xi + yj + zk as a 4x4 matrix on (w, x, y, z):
+# entry (k, c) is sign * q[component] for the pair at position c of row k
+_LEFT_MUL = (
+    ((0, 1), (1, -1), (2, -1), (3, -1)),
+    ((1, 1), (0, 1), (3, -1), (2, 1)),
+    ((2, 1), (3, 1), (0, 1), (1, -1)),
+    ((3, 1), (2, -1), (1, 1), (0, 1)),
+)
+
+
+def fixed_space_dim(m: QMat2) -> int:
+    """Reference for ``group_reflections``: the golden-field dimension of
+    {x : m x = x}, 8 minus the rank of the 8x8 exact system of m - 1.  Each
+    row is a signed permutation of one block row's Z[sqrt5] integers (the
+    left-multiplication rows of its two entries), read off ``(m - 1).ints``."""
+    d = (m - IDENTITY).ints
+    rows = [[sign * d[start + 8 * half + 2 * c + part]
+             for half in (0, 1) for c, sign in pattern for part in (0, 1)]
+            for start in (0, 16) for pattern in _LEFT_MUL]
+    return 8 - rank(rows)
+
+
+def test_projector_census_matches_fixed_space_reference():
+    # every order-3 element of G is one of the 20 reflections, so the
+    # diagonal group <diag(omega, omega), diag(omega, 1)> supplies order-3
+    # elements with no fixed vector, diag(omega, omega^2) among them
+    g = build_o1()
+    diag = FiniteGroup.closure([QMat2.diag(OMEGA, OMEGA), QMat2.diag(OMEGA, Q_ONE)],
+                               mul, IDENTITY)
+    for group in (g, diag):
+        order3 = [i for i in range(len(group)) if group.element_order(i) == 3]
+        assert group_reflections(group) == \
+            [i for i in order3 if fixed_space_dim(group.elements[i]) > 0]
+    order3 = [i for i in range(len(diag)) if diag.element_order(i) == 3]
+    assert len(order3) == 8 and len(group_reflections(diag)) == 4
+    assert len(group_reflections(g)) == 20
 
 
 def test_fixed_space_dims():

@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icosian.goldnum import Gold
-from icosian.linalg import Echelon
+from icosian.groupkit import FiniteGroup
+from icosian.linalg import Echelon, rank
 from icosian.qmat2 import IDENTITY, QMat2
-from icosian.quat import Quat
+from icosian.quat import I, OMEGA, PHI, Quat
 from icosian.reflgroup import build_o1, generators, reflection_matrices
 from icosian.spans import (
     algebra_closure,
     algebra_closure_dim,
     flatten,
+    g_trace_pairs,
+    gram_rank,
     is_galois_stable,
     neutrino_algebra_report,
     reflection_algebra_report,
     span_dim,
     su2_u1_split_report,
     subgroup_span_dim,
+    trace_pairs,
 )
 from conftest import golds, quats
 
@@ -189,6 +193,89 @@ def test_closure_dim_on_every_subgroup_of_g():
     assert Counter(zip(map(len, subs), dims)) == {
         (1, 1): 1, (2, 1): 1, (3, 3): 10, (4, 2): 15, (5, 4): 6, (6, 3): 10,
         (8, 4): 5, (10, 4): 6, (12, 6): 10, (20, 8): 6, (24, 8): 5, (120, 16): 1}
+
+
+# span_dim ranks up to 16 elements of G by their Gram matrix under the trace
+# form; the rank of their 32 integers each is the reference
+
+def row_rank(mats):
+    return rank([m.ints for m in mats])
+
+
+def test_gram_route_matches_row_route_on_seeded_subsets():
+    g = build_o1()
+    minus = g.index(-IDENTITY)
+    rng = random.Random(24)
+    dims = Counter()
+    for _ in range(200):
+        idx = [rng.randrange(len(g)) for _ in range(rng.randint(1, 16))]
+        if rng.random() < 0.5:  # a sign pair and a repeat
+            idx += [g.table[idx[0]][minus], idx[-1]]
+            idx = idx[:16]
+        rng.shuffle(idx)
+        mats = [g.elements[i] for i in idx]
+        dims[span_dim(mats)] += 1
+        assert span_dim(mats) == gram_rank(idx) == row_rank(mats)
+    assert set(dims) >= {1, 2, 4, 8, 12, 16}
+
+
+def test_gram_route_matches_row_route_on_every_subgroup():
+    g = build_o1()
+    subs = all_subgroups(g)
+    assert len(subs) == 76
+    subgroup_span_dim.cache_clear()
+    for sub in subs:
+        mats = [g.elements[i] for i in sorted(sub)]
+        assert gram_rank(sorted(sub)) == subgroup_span_dim(sub) == row_rank(mats)
+
+
+def assert_trace_form_is_the_coordinate_dot_product(group, pairs):
+    """tau(x^-1 y) over the common denominator of ``trace_pairs`` (read off
+    tau(1) = 2) is the dot product of the 16 coordinates of x and y."""
+    tau = trace_pairs(group.elements, group.inverse)
+    den = tau[0][0] // 2
+    assert tau[0] == (2 * den, 0)
+    t, inv = group.table, group.inverse
+    for i, j in pairs:
+        dot = sum((a * b for a, b in zip(flatten(group.elements[i]),
+                                         flatten(group.elements[j]))), Gold(0))
+        assert Gold(*tau[t[inv[i]][j]], den) == dot
+
+
+def test_trace_form_is_the_coordinate_dot_product():
+    g = build_o1()
+    rng = random.Random(7)
+    assert_trace_form_is_the_coordinate_dot_product(
+        g, [(rng.randrange(len(g)), rng.randrange(len(g))) for _ in range(200)])
+    assert g_trace_pairs() == trace_pairs(g.elements, g.inverse)
+    # on G every diagonal real part is rational; diag(q, q^2), q of order 10
+    # in the unit quaternions, has real parts with sqrt5 parts that neither
+    # add nor cancel to zero in every element of its cyclic group
+    quats = FiniteGroup.closure([I, OMEGA, PHI], lambda p, q: p * q, ONE)
+    q = next(x for k, x in enumerate(quats.elements) if quats.element_order(k) == 10)
+    cyclic = FiniteGroup.closure([QMat2.diag(q, q * q)], lambda a, b: a * b, IDENTITY)
+    assert len(cyclic) == 10
+    assert any(m.ints[1] + m.ints[25] for m in cyclic.elements)
+    assert any(m.ints[1] - m.ints[25] for m in cyclic.elements)
+    assert_trace_form_is_the_coordinate_dot_product(
+        cyclic, [(i, j) for i in range(10) for j in range(10)])
+
+
+def test_a_corrupted_element_fails_the_unitarity_check():
+    g = build_o1()
+    m = g.elements[7]
+    corrupted = list(g.elements)
+    corrupted[7] = QMat2(m.m11, m.m12 + I, m.m21, m.m22)
+    with pytest.raises(ValueError, match="not unitary"):
+        trace_pairs(corrupted, g.inverse)
+    scaled = list(g.elements)
+    scaled[7] = m.scale(Gold(2))
+    with pytest.raises(ValueError, match="not unitary"):
+        trace_pairs(scaled, g.inverse)
+    swapped = list(g.inverse)
+    swapped[7], swapped[8] = swapped[8], swapped[7]
+    with pytest.raises(ValueError, match="not unitary"):
+        trace_pairs(g.elements, swapped)
 
 
 def test_closure_dim_ranks_each_subgroup_once(monkeypatch):
