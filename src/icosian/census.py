@@ -153,25 +153,14 @@ def q8_subgroups() -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ..
 
     Every order-8 subgroup here is a quaternion group: it has a unique
     involution, which is checked.  Each pair of order-4 elements is closed
-    on the table only until the closure passes 8 elements: every element
-    reached lies in the subgroup the pair generates, so a closure that
-    passes 8 has found a larger subgroup, and one that ends within 8 has
-    found the whole of it.
+    by ``closure_within`` only until the closure passes 8 elements, so 8
+    elements reached are the whole subgroup the pair generates.
     """
     G, _, _ = _group_data()
-    t = G.table
     elems = [i for i in range(len(G)) if G.element_order(i) == 4]
     found: set[frozenset[int]] = set()
-    for x, y in combinations(elems, 2):
-        seen = {0}
-        queue = [0]
-        for i in queue:  # the list grows as the closure runs
-            for p in (t[i][x], t[i][y]):
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-            if len(seen) > 8:
-                break
+    for pair in combinations(elems, 2):
+        seen = G.closure_within(pair, 8)
         if len(seen) == 8:
             found.add(frozenset(seen))
     for s in found:

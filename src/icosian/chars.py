@@ -1,15 +1,17 @@
 """Character table of the order-120 group, tensor decompositions, branching.
 
 The nine irreducible characters are built from exact data: the unit-quaternion
-lift gives the two 2-dimensional characters (swapped by the golden Galois
-map), the conjugation action on pure quaternions gives the 3-dimensional
-ones, the matrix representation itself gives 4b, and the remaining three are
-defined by tensor products and validated by exact orthonormality.
+lift, a group closure matched to G's Cayley graph, gives the two
+2-dimensional characters (swapped by the golden Galois map), the conjugation
+action on pure quaternions gives the 3-dimensional ones, the matrix
+representation itself gives 4b, and the remaining three are defined by
+tensor products and validated by exact orthonormality.
 
 A class function is a ``CharVector``, a GoldVector of its nine values: 18
 Z[sqrt5] integers over one denominator, in class order.  Construction,
 products, sums, the Galois map, inner products, decomposition and branching
-all run on those integers; the irreducibles are kept in ``LABELS`` order.
+(a recursion in CharVector products) all run on those integers; the
+irreducibles are kept in ``LABELS`` order.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from math import lcm
 from operator import mul
 
 from .goldnum import Gold, GoldVector, ONE as G_ONE, dot_pairs, flatten, gold_str
-from .groupkit import FiniteGroup
+from .groupkit import ClosureError, FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
 from .reflgroup import build_o1, word_string
@@ -43,22 +45,21 @@ class CharVector(GoldVector):
 
 
 def build_quat_lift(group: FiniteGroup[QMat2]) -> tuple[Quat, ...]:
-    """Unit-quaternion image of every element, along its BFS word.
+    """Unit-quaternion image of every element: the closure of the images
+    f -> i, g -> omega, h -> phi, whose Cayley graph must equal the group's.
 
-    The lift is checked on every Cayley-graph edge,
-    lift[edges[i][s]] == lift[i] * images[s], which is |G|*|S| products; by
-    induction on word length this makes it multiplicative on all |G|^2
-    pairs.  Failure would mean the assignment is not a homomorphism.
+    Equal labelled graphs give lift[edges[i][s]] == lift[i] * images[s] on
+    every edge, |G|*|S| products made once by the closure; by induction on
+    word length the lift is multiplicative on all |G|^2 pairs.  Otherwise
+    (a different graph, or a closure past |G|) it raises ValueError.
     """
-    images = (I, OMEGA, PHI)
-    lift = [Q_ONE]
-    for k in range(1, len(group)):
-        lift.append(lift[group.parent[k]] * images[group.letter[k]])
-    for i, row in enumerate(group.edges):
-        for s, target in enumerate(row):
-            if lift[target] != lift[i] * images[s]:
-                raise ValueError("quaternion lift is not multiplicative")
-    return tuple(lift)
+    try:
+        lift = FiniteGroup.closure((I, OMEGA, PHI), mul, Q_ONE, cap=len(group))
+    except ClosureError:
+        raise ValueError("quaternion lift is not multiplicative") from None
+    if lift.edges != group.edges:
+        raise ValueError("quaternion lift is not multiplicative")
+    return tuple(lift.elements)
 
 
 class CharTable:
@@ -110,8 +111,8 @@ class CharTable:
 
         def trace_4b(i):
             # 2*(Re m11 + Re m22): the trace of the 4-dim complexification
-            m = elements[i].ints
-            return 2 * (m[0] + m[24]), 2 * (m[1] + m[25]), elements[i].den
+            a, b = elements[i].re_trace()
+            return 2 * a, 2 * b, elements[i].den
 
         chi1 = CharVector([G_ONE] * len(self.classes))
         chi2a = self.class_function(two_w)
@@ -194,27 +195,16 @@ class CharTable:
 
     def hyperspin(self, two_j: int) -> CharVector:
         """Restriction character for the spin-(two_j/2) representation, by
-        chi_{n+1} = chi_2a * chi_n - chi_{n-1} on Z[sqrt5] integer pairs over
-        2: the values lie in Z[phi], pairs (a, b) with a = b mod 2, so halving
-        each product (ac + 5bd, ad + bc) is exact.  The characters are kept
-        as one sequence, extended only past the largest two_j asked so far;
-        2a is checked to lie in Z[phi] on each extension, so a table that
-        fails the check keeps nothing and fails again."""
+        chi_{n+1} = chi_2a * chi_n - chi_{n-1} from chi_0 = 1 and
+        chi_1 = chi_2a, in CharVector arithmetic.  The characters are kept
+        as one sequence, extended only past the largest two_j asked so far."""
         if two_j < 0:
             raise ValueError("two_j must be non-negative")
-        spins = self._spins
-        if two_j >= len(spins):
-            x = _halves(self.by_label["2a"])
-            if x is None or any((c - d) % 2 for c, d in x):
-                raise ValueError("character 2a takes a value outside Z[phi]")
-            if not spins:
-                spins.append(CharVector._canonical((1, 0) * len(x), 1))
-            prev = _halves(spins[-2]) if len(spins) > 1 else [(0, 0)] * len(x)
-            cur = _halves(spins[-1])
-            while len(spins) <= two_j:
-                prev, cur = cur, [((a * c + 5 * b * d) // 2 - a0, (a * d + b * c) // 2 - b0)
-                                  for (c, d), (a, b), (a0, b0) in zip(x, cur, prev)]
-                spins.append(CharVector._reduced([v for pair in cur for v in pair], 2))
+        spins, x = self._spins, self.by_label["2a"]
+        if not spins:
+            spins.append(self.by_label["1"])
+        while len(spins) <= two_j:
+            spins.append(x * spins[-1] - spins[-2] if len(spins) > 1 else x)
         return spins[two_j]
 
     def hyperspin_table(self, max_two_j: int) -> list[tuple[int, dict[str, int]]]:
@@ -233,15 +223,6 @@ class CharTable:
             "irreducibles": [{"label": label, "values": [v.to_json() for v in flatten(chi)]}
                              for label, chi in self.by_label.items()],
         }
-
-
-def _halves(chi: CharVector) -> list[tuple[int, int]] | None:
-    """chi's values as Z[sqrt5] integer pairs over 2, or None if its
-    denominator does not divide 2."""
-    f, rest = divmod(2, chi.den)
-    if rest:
-        return None
-    return [(c * f, d * f) for c, d in zip(chi.ints[0::2], chi.ints[1::2])]
 
 
 @cache

@@ -46,8 +46,7 @@ class FiniteGroup(Generic[T]):
     ``elements[i] * generators[s]``, so ``edges[0]`` holds the generators.
     Every other element k was first reached from ``parent[k]`` (an earlier
     index) by the generator ``letter[k]``; ``word(k)`` walks that BFS word,
-    usable to transport the group through any homomorphism given images of
-    the generators.
+    which names the element in the generators.
     """
 
     def __init__(
@@ -211,20 +210,16 @@ class FiniteGroup(Generic[T]):
         """Every index: the group as its own subgroup, one shared set."""
         return frozenset(range(len(self.elements)))
 
-    def subgroup_indices(self, gen_indices: Iterable[int]) -> frozenset[int]:
-        """Smallest subgroup containing the given elements, as an index set.
+    def closure_within(self, gen_indices: Iterable[int], limit: int) -> set[int]:
+        """The indices a breadth-first closure of the given elements reaches
+        on the Cayley table, stopping once it holds more than ``limit``.
 
-        A breadth-first closure on the Cayley table that stops at Lagrange's
-        bound: the elements reached all lie in the subgroup H generated, and
-        a proper subgroup has index at least 2, so at most half the group's
-        elements.  Once more than ``len(self) // 2`` are reached, H is the
-        whole group, and ``whole`` is returned, one shared set, so the memos
-        keyed on it (``generating_set``, ``spans.subgroup_span_dim``) find
-        it by identity.
+        Every index reached lies in the subgroup H they generate, so a result
+        of at most ``limit`` indices is the whole of H, and a larger one shows
+        |H| > limit.
         """
         t = self.table
         gens = list(dict.fromkeys(gen_indices))
-        half = len(self.elements) // 2
         seen = {0}
         queue = [0]
         for i in queue:  # the list grows as the closure runs
@@ -234,9 +229,22 @@ class FiniteGroup(Generic[T]):
                 if p not in seen:
                     seen.add(p)
                     queue.append(p)
-            if len(seen) > half:
-                return self.whole
-        return frozenset(seen)
+            if len(seen) > limit:
+                break
+        return seen
+
+    def subgroup_indices(self, gen_indices: Iterable[int]) -> frozenset[int]:
+        """Smallest subgroup containing the given elements, as an index set.
+
+        ``closure_within`` stopped at Lagrange's bound: a proper subgroup
+        has index at least 2, so at most half the group's elements.  Once
+        more than ``len(self) // 2`` are reached, H is the whole group, and
+        ``whole`` is returned, one shared set, so the memos keyed on it
+        (``generating_set``, ``spans.subgroup_span_dim``) find it by identity.
+        """
+        half = len(self.elements) // 2
+        seen = self.closure_within(gen_indices, half)
+        return self.whole if len(seen) > half else frozenset(seen)
 
     def generating_set(self, indices: Iterable[int]) -> tuple[int, ...]:
         """A subset of the indices that generates the same subgroup.

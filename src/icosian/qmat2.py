@@ -98,6 +98,17 @@ class QMat2(GoldVector):
                                   self.den * other.den)
         return NotImplemented
 
+    def re_trace(self) -> tuple[int, int]:
+        """Re m11 + Re m22 as the Z[sqrt5] pair (a, b) of (a + b*sqrt5)/den."""
+        m = self.ints
+        return m[0] + m[24], m[1] + m[25]
+
+    def adjoint(self) -> "QMat2":
+        """The conjugate transpose: entry (r, c) is the conjugate of entry (c, r)."""
+        m = self.ints
+        return QMat2._canonical(tuple([v if p < 2 else -v for start in (0, 16, 8, 24)
+                                       for p, v in enumerate(m[start:start + 8])]), self.den)
+
     def scale(self, s) -> "QMat2":
         """Left scalar multiplication (entrywise s * m_ij); s is a Quat or a
         golden-field scalar, which commutes with every entry."""

@@ -43,23 +43,19 @@ def span_dim(mats: list[QMat2]) -> int:
 
 
 def trace_pairs(elements: Sequence[QMat2], inverse: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """tau(m) = Re m11 + Re m22 of each element, as Z[sqrt5] integer pairs
-    over one common denominator, read off ``ints[0:2]`` and ``ints[24:26]``.
+    """tau(m) = Re m11 + Re m22 of each element (``QMat2.re_trace``), as
+    Z[sqrt5] integer pairs over one common denominator.
 
     The group must be unitary, x* = x^-1, for ``gram_rank`` to be sound, so
     every element's conjugate transpose is first compared, on the integers,
     with the element ``inverse`` names; a mismatch raises ValueError.
     """
     for m, k in zip(elements, inverse, strict=True):
-        ints = m.ints
-        adjoint = tuple([v if p < 2 else -v for start in (0, 16, 8, 24)
-                         for p, v in enumerate(ints[start:start + 8])])
-        if adjoint != elements[k].ints or m.den != elements[k].den:
+        if m.adjoint() != elements[k]:
             raise ValueError(f"{m!r} is not unitary: its conjugate transpose"
                              " is not its inverse")
     den = lcm(*[m.den for m in elements])
-    return tuple([((m.ints[0] + m.ints[24]) * (den // m.den),
-                   (m.ints[1] + m.ints[25]) * (den // m.den)) for m in elements])
+    return tuple([tuple([v * (den // m.den) for v in m.re_trace()]) for m in elements])
 
 
 @cache

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from icosian import chars
 from icosian.chars import (
     CharTable, CharVector, LABELS, build_quat_lift, char_table, format_decomposition,
     gauge_bookkeeping,
 )
 from icosian.goldnum import Gold, dot_pairs, flatten
+from icosian.quat import PHI
 from icosian.reflgroup import build_o1
 from conftest import golds
 
@@ -51,6 +53,16 @@ def test_lift_check_catches_a_corrupted_edge():
     g.edges = [tuple(row) for row in edges]
     with pytest.raises(ValueError, match="not multiplicative"):
         build_quat_lift(g)
+
+
+@pytest.mark.parametrize("image", [
+    -PHI,  # closes at 120 with a different Cayley graph
+    PHI * Gold(2),  # of infinite order: the closure runs past the cap
+])
+def test_a_bad_lift_raises_value_error(monkeypatch, image):
+    monkeypatch.setattr(chars, "PHI", image)
+    with pytest.raises(ValueError, match="not multiplicative"):
+        build_quat_lift(build_o1())
 
 
 def test_row_orthonormality():
@@ -308,26 +320,6 @@ def test_spin_sequence_is_kept_and_extended_in_any_order():
 def test_hyperspin_rejects_negative():
     with pytest.raises(ValueError):
         ct().hyperspin(-1)
-
-
-def test_hyperspin_rejects_a_2a_value_outside_z_phi(monkeypatch):
-    # halving the recursion's products is exact only on Z[phi]
-    two_a = ct().by_label["2a"]
-    half = CharVector([Gold(1, 0, 2)] + flatten(two_a)[1:])
-    table = table_with(monkeypatch, "2a", half)
-    assert table.by_label["2a"] == half
-    with pytest.raises(ValueError, match="outside Z"):
-        table.hyperspin(3)
-
-
-def test_z_phi_check_fires_on_every_call_of_a_bad_table(monkeypatch):
-    two_a = ct().by_label["2a"]
-    half = CharVector([Gold(1, 0, 2)] + flatten(two_a)[1:])
-    table = table_with(monkeypatch, "2a", half)
-    for tj in (0, 0, 5, 0):
-        with pytest.raises(ValueError, match="outside Z"):
-            table.hyperspin(tj)
-    assert table._spins == []
 
 
 def test_gauge_bookkeeping():

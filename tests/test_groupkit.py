@@ -343,12 +343,22 @@ def closure_to_the_end(g, gens):
 
 def test_subgroup_closures_match_the_closure_without_the_lagrange_stop():
     # the gamma group has subgroups of order 16, half of 32, and S3 has A3
-    # of order 3, half of 6: a stop at half the group, not past it, fails
+    # of order 3, half of 6: a stop at half the group, not past it, fails;
+    # closure_within is the whole subgroup within its limit, and past it a
+    # part of the subgroup with more than limit elements, which a stop at
+    # the limit, not past it, can leave short
     for g, subs, _ in reference_cases():
         for h in subs:
             gens = list(g.generating_set(h))
             for x in range(len(g)):
-                assert g.subgroup_indices(gens + [x]) == closure_to_the_end(g, gens + [x])
+                whole = closure_to_the_end(g, gens + [x])
+                assert g.subgroup_indices(gens + [x]) == whole
+                for limit in (1, 2, 4, 8, 12, 60):
+                    part = g.closure_within(gens + [x], limit)
+                    if len(whole) <= limit:
+                        assert part == whole
+                    else:
+                        assert part <= whole and len(part) > limit
     assert any(len(h) == 16 for h in all_subgroups(gamma_group()))
     assert any(len(h) == 3 for h in all_subgroups(s3()))
 
