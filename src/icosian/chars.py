@@ -33,6 +33,10 @@ class CharVector(GoldVector):
 
     __slots__ = ()
 
+    def degree(self) -> int:
+        """chi(1), the value on the identity class, which comes first."""
+        return self.ints[0] // self.den
+
     def __mul__(self, other: "CharVector") -> "CharVector":
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -101,12 +105,12 @@ class CharTable:
 
         def two_w(i):
             # twice the real part w = (a + b*sqrt5)/d of the lift
-            (a, b), d = lift[i].ints[0:2], lift[i].den
+            (a, b), d = lift[i].re(), lift[i].den
             return 2 * a, 2 * b, d
 
         def trace_3a(i):
             # conjugation action on pure quaternions: trace 4*w^2 - 1
-            (a, b), d = lift[i].ints[0:2], lift[i].den
+            (a, b), d = lift[i].re(), lift[i].den
             return 4 * (a * a + 5 * b * b) - d * d, 8 * a * b, d * d
 
         def trace_4b(i):
@@ -136,6 +140,21 @@ class CharTable:
         summed on Z[sqrt5] integers."""
         return Gold(*dot_pairs(chi.ints, psi.ints, self.class_sizes),
                     chi.den * psi.den * len(self.group))
+
+    def columns_orthogonal(self) -> bool:
+        """Whether the sum over characters of chi(c)*chi(d) is |G|/size(c) for
+        classes c == d and 0 otherwise, on Z[sqrt5] integers: weighting
+        character k by (den/den_k)^2 puts every product over den^2."""
+        den = lcm(*[chi.den for chi in self.irreducibles])
+        weights = [(den // chi.den) ** 2 for chi in self.irreducibles]
+        columns = [[v for chi in self.irreducibles for v in chi.ints[2 * c:2 * c + 2]]
+                   for c in range(len(self.classes))]
+        return all(
+            tuple(v * self.class_sizes[c] for v in dot_pairs(x, y, weights))
+            == ((len(self.group) * den * den, 0) if c == d else (0, 0))
+            for c, x in enumerate(columns)
+            for d, y in enumerate(columns)
+        )
 
     def decompose(self, chi: CharVector) -> dict[str, int]:
         """Multiplicities of the irreducibles in chi; exact reconstruction
@@ -255,8 +274,7 @@ def gauge_bookkeeping() -> tuple[dict, dict]:
     whose unit group Sp(d/2) has dimension (d/2)(d+1); these are read off
     the table in LABELS order and paired with KEPT_DIMS one to one."""
     ct = char_table()
-    # chi(1), the value on the identity class, which comes first
-    dims = [chi.ints[0] // chi.den for chi in ct.irreducibles if ct.fs_indicator(chi) == -1]
+    dims = [chi.degree() for chi in ct.irreducibles if ct.fs_indicator(chi) == -1]
     symplectic = [d * (d + 1) // 2 for d in dims]
     lost_per_factor = [s - k for s, k in zip(symplectic, KEPT_DIMS, strict=True)]
     split = [sum(part) for part in LOST_SPLIT_DETAIL]

@@ -35,15 +35,7 @@ class CheckResult(NamedTuple):
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "claim": self.claim,
-            "expected": self.expected,
-            "actual": self.actual,
-            "status": self.status,
-            "claims": [c.to_json() for c in self.claims],
-        }
+        return dict(self._asdict(), claims=[c.to_json() for c in self.claims])
 
 
 class VerificationReport(Record):
@@ -205,7 +197,7 @@ def check_chars_table():
     from .chars import char_table
     from .goldnum import ONE, ZERO
     ct = char_table()
-    dims = sorted(chi.ints[0] // chi.den for chi in ct.irreducibles)
+    dims = sorted(chi.degree() for chi in ct.irreducibles)
     ortho = all(
         ct.inner(a, b) == (ONE if i == j else ZERO)
         for i, a in enumerate(ct.irreducibles)
@@ -218,22 +210,8 @@ def check_chars_table():
        "columns of the table are orthogonal with squared length |G| / class"
        " size", True)
 def check_chars_columns():
-    from math import lcm
     from .chars import char_table
-    from .goldnum import dot_pairs
-    ct = char_table()
-    # column c holds each character's integers there; weighting character k
-    # by (den/den_k)^2 puts every product over den^2
-    den = lcm(*[chi.den for chi in ct.irreducibles])
-    weights = [(den // chi.den) ** 2 for chi in ct.irreducibles]
-    columns = [[v for chi in ct.irreducibles for v in chi.ints[2 * c:2 * c + 2]]
-               for c in range(len(ct.classes))]
-    return all(
-        tuple(v * ct.class_sizes[c] for v in dot_pairs(x, y, weights))
-        == ((120 * den * den, 0) if c == d else (0, 0))
-        for c, x in enumerate(columns)
-        for d, y in enumerate(columns)
-    )
+    return char_table().columns_orthogonal()
 
 
 @check("chars.fs", "Frobenius-Schur indicators",

@@ -274,5 +274,3 @@ def gold_str(na: int, nb: int, den: int) -> str:
 
 ZERO = Gold(0)
 ONE = Gold(1)
-TAU = Gold(1, 1, 2)     # (1 + sqrt5)/2
-SIGMA = Gold(1, -1, 2)  # (1 - sqrt5)/2

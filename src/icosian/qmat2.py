@@ -157,5 +157,6 @@ def hamilton_dot(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
     )
 
 
+ZERO = QMat2.diag(Q_ZERO, Q_ZERO)
 IDENTITY = QMat2.diag(Q_ONE, Q_ONE)
 MINUS_IDENTITY = -IDENTITY

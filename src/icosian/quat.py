@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from functools import cache
 from operator import mul
 
-from .goldnum import Gold, GoldVector, ZERO as G_ZERO, SIGMA, TAU, as_gold, gold_str
+from .goldnum import Gold, GoldVector, as_gold, gold_str, integer_pairs
 from .groupkit import FiniteGroup
 
 
@@ -45,6 +45,10 @@ class Quat(GoldVector):
     def z(self) -> Gold:
         return Gold(self.ints[6], self.ints[7], self.den)
 
+    def re(self) -> tuple[int, int]:
+        """The real part w as the Z[sqrt5] pair (a, b) of (a + b*sqrt5)/den."""
+        return self.ints[0:2]
+
     def __repr__(self) -> str:
         return f"Quat(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
@@ -59,8 +63,8 @@ class Quat(GoldVector):
         if s is NotImplemented:
             return NotImplemented
         # the product by the real quaternion Quat.of(s)
-        return Quat._reduced(hamilton(self.ints, (s.na, s.nb, 0, 0, 0, 0, 0, 0)),
-                             self.den * s.den)
+        pair, den = integer_pairs([s])
+        return Quat._reduced(hamilton(self.ints, (*pair, 0, 0, 0, 0, 0, 0)), self.den * den)
 
     def conj(self) -> "Quat":
         ints = self.ints
@@ -118,10 +122,10 @@ I = Quat.of(0, 1)
 J = Quat.of(0, 0, 1)
 K = Quat.of(0, 0, 0, 1)
 
-HALF = Gold(1, 0, 2)
-OMEGA = Quat(-HALF, HALF, HALF, HALF)
-# (i - sigma j - tau k)/2; the 1/2 makes it a unit with PHI^2 = -1
-PHI = Quat(G_ZERO, HALF, -SIGMA * HALF, -TAU * HALF)
+OMEGA = Quat(Gold(-1, 0, 2), Gold(1, 0, 2), Gold(1, 0, 2), Gold(1, 0, 2))
+# (i - sigma j - tau k)/2 with sigma, tau = (1 -+ sqrt5)/2; the 1/2 makes it
+# a unit with PHI^2 = -1
+PHI = Quat(Gold(0), Gold(1, 0, 2), Gold(-1, 1, 4), Gold(-1, -1, 4))
 THETA = OMEGA - OMEGA * OMEGA  # = i + j + k, squares to -3
 
 

@@ -13,7 +13,7 @@ from operator import mul
 
 from .goldnum import Gold
 from .groupkit import FiniteGroup
-from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
+from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO, spinor_norm2
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
 THIRD = Gold(1, 0, 3)
@@ -168,7 +168,7 @@ def group_reflections(group: FiniteGroup[QMat2]) -> list[int]:
         i
         for i in range(len(group))
         if group.element_order(i) == 3
-        and any((IDENTITY + elements[i] + elements[t[i][i]]).ints)
+        and IDENTITY + elements[i] + elements[t[i][i]] != ZERO
     ]
 
 

@@ -2,6 +2,7 @@
 from hypothesis import strategies as st
 
 from icosian.goldnum import Gold
+from icosian.qmat2 import QMat2
 from icosian.quat import Quat
 
 golds = st.builds(
@@ -15,3 +16,5 @@ golds = st.builds(
 nonzero_golds = golds.filter(bool)
 
 quats = st.builds(Quat, golds, golds, golds, golds)
+
+mats = st.builds(QMat2, quats, quats, quats, quats)

@@ -29,6 +29,7 @@ def test_labels_and_dimensions():
     dims = [1, 2, 2, 3, 3, 4, 4, 5, 6]
     # the identity class is first
     assert [flatten(chi)[0] for chi in table.irreducibles] == [Gold(d) for d in dims]
+    assert [chi.degree() for chi in table.irreducibles] == dims
     assert sum(d * d for d in dims) == 120
 
 
@@ -119,6 +120,7 @@ def test_class_function_arithmetic_matches_gold_values(chi, psi):
 
 def test_column_orthogonality():
     table = ct()
+    assert table.columns_orthogonal()
     n = len(table.classes)
     for c in range(n):
         for d in range(n):
@@ -127,6 +129,14 @@ def test_column_orthogonality():
                 s = s + values[c] * values[d]
             want = Gold(120, 0, table.class_sizes[c]) if c == d else Gold(0)
             assert s == want
+
+
+def test_column_check_fails_on_a_repeated_character(monkeypatch):
+    table = ct()
+    irr = table.irreducibles
+    # 4b in place of 4a: the rows are still characters, the columns not orthogonal
+    monkeypatch.setattr(table, "irreducibles", irr[:5] + (irr[6],) + irr[6:])
+    assert not table.columns_orthogonal()
 
 
 def test_fs_indicators():

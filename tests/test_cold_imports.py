@@ -38,17 +38,39 @@ print(json.dumps({"before": before, "after": loaded(), "code": code,
 """
 
 
+GOLD_OPS_SCRIPT = """\
+import json
+from icosian.goldnum import Gold
+calls = []
+def counted(name, method):
+    def wrapper(*args):
+        calls.append(name)
+        return method(*args)
+    return wrapper
+for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+             "__mul__", "__rmul__", "inverse"):
+    setattr(Gold, name, counted(name, getattr(Gold, name)))
+import icosian.quat
+print(json.dumps(calls))
+"""
+
+
+def fresh_python(script: str, *args: str):
+    """What a fresh interpreter running the script prints, read as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script, *args],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def fresh_run(argv) -> dict:
     """A fresh interpreter's run of main(argv) (argv None runs no command):
     the package modules loaded after `import icosian.cli` ("before") and
     after the command ("after"), its exit code, what it printed, and every
     module loaded at the end."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    return fresh_python(SCRIPT, json.dumps(argv))
 
 
 def package_modules(argv):
@@ -97,6 +119,11 @@ def test_commands_import_no_fractions_or_decimal(argv):
     run = fresh_run(argv)
     assert run["code"] == (1 if argv[0] == "verify" else 0)
     assert {"fractions", "decimal", "numbers"}.isdisjoint(run["modules"])
+
+
+def test_importing_quat_makes_no_gold_arithmetic():
+    # the scalars are written from literal Golds, so the import only builds them
+    assert fresh_python(GOLD_OPS_SCRIPT) == []
 
 
 def dataclass_imports(tree: ast.AST) -> list[str]:

@@ -6,12 +6,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icosian.chars import CharVector
-from icosian.goldnum import Gold, GoldVector, ONE, SIGMA, TAU, ZERO
+from icosian.goldnum import Gold, GoldVector, ONE, ZERO
 from icosian.qmat2 import IDENTITY
 from icosian.quat import I, ONE as Q_ONE, Quat
 from conftest import golds, nonzero_golds
 
 SQRT5 = Gold(0, 1)
+TAU = Gold(1, 1, 2)     # (1 + sqrt5)/2
+SIGMA = Gold(1, -1, 2)  # (1 - sqrt5)/2
 HALF = Gold(1, 0, 2)
 
 

@@ -149,6 +149,7 @@ def test_conj_fixes_real_part(q):
     r = q + q.conj()
     assert bool(r.w) or r == ZERO
     assert r.w == q.w * Gold(2)
+    assert Gold(*q.re(), q.den) == q.w
 
 
 def test_quaternions_are_immutable():

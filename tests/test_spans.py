@@ -25,9 +25,8 @@ from icosian.spans import (
     subgroup_span_dim,
     trace_pairs,
 )
-from conftest import golds, quats
+from conftest import golds, mats
 
-mats = st.builds(QMat2, quats, quats, quats, quats)
 coord_vectors = st.lists(golds, min_size=16, max_size=16)
 small_golds = st.builds(Gold, st.integers(-2, 2), st.integers(-1, 1), st.sampled_from([1, 2]))
 small_quats = st.builds(Quat, small_golds, small_golds, small_golds, small_golds)
