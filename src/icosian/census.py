@@ -234,16 +234,15 @@ ORDER3_LISTED = {
 
 
 def order3_census() -> OrbitCensus:
-    """The 10 inverse-pairs of order-3 elements split 1+3+6, with the fixed
-    pair {g, g^2} and the two listed families in the stated orbits."""
+    """Diagonal conjugation orbits on the 10 inverse-pairs of order-3 elements;
+    raises unless {g, g^2} and the two listed families lie in the stated
+    orbits (the check orbits.order3 compares the sizes with 1+3+6)."""
     G = build_o1()
 
     def inverse_pair(i: int) -> frozenset[int]:
         return frozenset({i, G.inverse[i]})
 
     census = _pair_census("inverse-pair-order3", 3, 10, inverse_pair, ORDER3_LISTED)
-    if census.orbit_sizes != (1, 3, 6):
-        raise ValueError(f"order-3 orbit sizes {census.orbit_sizes}")
     for c in _family_claims(G, census, inverse_pair):
         if not c.ok:
             raise ValueError(f"{c.name} fails: {c.actual}")

@@ -14,7 +14,7 @@ only that family's modules.
 from __future__ import annotations
 
 from functools import reduce, wraps
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .claim import Claim
@@ -148,8 +148,9 @@ def check_roots_norm():
        " of (theta, 0) is g; the reflections generate the whole group",
        (20, [3], 10, True, True))
 def check_roots_reflections():
-    from .qmat2 import Spinor2
-    from .quat import THETA, ZERO as Q_ZERO
+    from .groupkit import FiniteGroup
+    from .qmat2 import IDENTITY, QMat2, Spinor2
+    from .quat import OMEGA, THETA, ZERO as Q_ZERO
     from .reflgroup import (build_o1, generators, group_reflections, reflection_group,
                             reflection_matrices, reflection_of)
     g_full = build_o1()
@@ -161,8 +162,13 @@ def check_roots_reflections():
     fixed = Claim.of("the order-3 elements with a nonzero fixed space are"
                      " exactly the 20 root reflections",
                      refl, group_reflections(g_full))
+    # G's order-3 elements all fix a vector, so the claim above holds even if
+    # the zero test does not; omega*I has order 3 and fixes none
+    scalar = FiniteGroup.closure([QMat2.diag(OMEGA, OMEGA)], mul, IDENTITY)
+    fixed_free = Claim.of("omega times the identity, of order 3 with no fixed"
+                          " vector, is no reflection", [], group_reflections(scalar))
     return Claimed((len(refl), sorted(orders), pairs, anchor, generate),
-                   [fixed])
+                   [fixed, fixed_free])
 
 
 @check("roots.tworefl", "non-reflections as two-reflection products",

@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from math import lcm
 
 from .goldnum import GoldVector
-from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, hamilton
+from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO
 from .record import Record
 
 
@@ -108,15 +108,6 @@ class QMat2(GoldVector):
         m = self.ints
         return QMat2._canonical(tuple([v if p < 2 else -v for start in (0, 16, 8, 24)
                                        for p, v in enumerate(m[start:start + 8])]), self.den)
-
-    def scale(self, s) -> "QMat2":
-        """Left scalar multiplication (entrywise s * m_ij); s is a Quat or a
-        golden-field scalar, which commutes with every entry."""
-        if not isinstance(s, Quat):
-            s = Quat.of(s)
-        u, m = s.ints, self.ints
-        return QMat2._reduced([x for k in range(0, 32, 8) for x in hamilton(u, m[k:k + 8])],
-                              s.den * self.den)
 
     def key(self) -> str:
         """Canonical serialization, usable as an indexing key."""

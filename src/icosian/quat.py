@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from functools import cache
 from operator import mul
 
-from .goldnum import Gold, GoldVector, as_gold, gold_str, integer_pairs
+from .goldnum import Gold, GoldVector, gold_str
 from .groupkit import FiniteGroup
 
 
@@ -59,12 +59,7 @@ class Quat(GoldVector):
     def __mul__(self, other):
         if isinstance(other, Quat):
             return Quat._reduced(hamilton(self.ints, other.ints), self.den * other.den)
-        s = as_gold(other)
-        if s is NotImplemented:
-            return NotImplemented
-        # the product by the real quaternion Quat.of(s)
-        pair, den = integer_pairs([s])
-        return Quat._reduced(hamilton(self.ints, (*pair, 0, 0, 0, 0, 0, 0)), self.den * den)
+        return NotImplemented
 
     def conj(self) -> "Quat":
         ints = self.ints

@@ -16,7 +16,7 @@ from .groupkit import FiniteGroup
 from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO, spinor_norm2
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
-THIRD = Gold(1, 0, 3)
+THIRD = Quat.of(Gold(1, 0, 3))
 LETTERS = "fgh"  # the generators, in closure order
 
 
@@ -30,10 +30,11 @@ def generators() -> tuple[QMat2, QMat2, QMat2]:
     """
     w = OMEGA * OMEGA
     w2 = OMEGA
-    f = QMat2(
+    c = (w - w2) * THIRD
+    f = QMat2.diag(c, c) * QMat2(
         Q_ONE, w2 * PHI - w,
         w2 * PHI - w2, w * PHI,
-    ).scale((w - w2) * THIRD)
+    )
     g = QMat2.diag(OMEGA, Q_ONE)
     h = QMat2.diag(PHI, PHI)
     return f, g, h

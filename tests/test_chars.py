@@ -13,7 +13,7 @@ from icosian.chars import (
     gauge_bookkeeping,
 )
 from icosian.goldnum import Gold, dot_pairs, flatten
-from icosian.quat import PHI
+from icosian.quat import PHI, Quat
 from icosian.reflgroup import build_o1
 from conftest import golds
 
@@ -58,7 +58,7 @@ def test_lift_check_catches_a_corrupted_edge():
 
 @pytest.mark.parametrize("image", [
     -PHI,  # closes at 120 with a different Cayley graph
-    PHI * Gold(2),  # of infinite order: the closure runs past the cap
+    PHI * Quat.of(2),  # of infinite order: the closure runs past the cap
 ])
 def test_a_bad_lift_raises_value_error(monkeypatch, image):
     monkeypatch.setattr(chars, "PHI", image)

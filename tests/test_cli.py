@@ -81,8 +81,9 @@ def test_verify_json_claims(capsys):
     assert [c["name"] for c in order4 if not c["pass"]] == [
         "orbit sizes 3+6+6", "family paired-products is one orbit of 6"]
     fixed = claims["roots.reflections"]
-    assert len(fixed) == 1 and fixed[0]["pass"]
+    assert len(fixed) == 2 and all(c["pass"] for c in fixed)
     assert "nonzero fixed space" in fixed[0]["name"]
+    assert "no fixed vector" in fixed[1]["name"] and fixed[1]["actual"] == "[]"
     del claims["algebra.dims"], claims["roots.reflections"]
     assert all(c == [] for c in claims.values())
 

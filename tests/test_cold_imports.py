@@ -55,6 +55,29 @@ print(json.dumps(calls))
 """
 
 
+GOLD_SITES_SCRIPT = """\
+import collections, contextlib, importlib, io, json, os, pkgutil, sys
+import icosian
+for m in pkgutil.iter_modules(icosian.__path__):
+    importlib.import_module("icosian." + m.name)
+from icosian.cli import main
+from icosian.goldnum import Gold
+sites = collections.Counter()
+init = Gold.__init__
+def counted(self, *args):
+    # the first caller outside the layers that build Golds on request
+    f = sys._getframe(1)
+    while os.path.basename(f.f_code.co_filename) in ("goldnum.py", "quat.py"):
+        f = f.f_back
+    sites[os.path.basename(f.f_code.co_filename) + ":" + f.f_code.co_name] += 1
+    init(self, *args)
+Gold.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--json"])
+print(json.dumps({"code": code, "sites": sites}))
+"""
+
+
 def fresh_python(script: str, *args: str):
     """What a fresh interpreter running the script prints, read as JSON."""
     env = dict(os.environ)
@@ -124,6 +147,17 @@ def test_commands_import_no_fractions_or_decimal(argv):
 def test_importing_quat_makes_no_gold_arithmetic():
     # the scalars are written from literal Golds, so the import only builds them
     assert fresh_python(GOLD_OPS_SCRIPT) == []
+
+
+def test_verify_builds_golds_only_for_inner_products_and_the_root_norm():
+    # every exact product multiplies two values of one class, so after
+    # import the only Golds are CharTable.inner's values and the four
+    # coefficients of roots()' Quat.of(3)
+    run = fresh_python(GOLD_SITES_SCRIPT)
+    assert run["code"] == 1
+    sites = run["sites"]
+    assert sites.pop("reflgroup.py:roots") == 4
+    assert list(sites) == ["chars.py:inner"]
 
 
 def dataclass_imports(tree: ast.AST) -> list[str]:

@@ -145,12 +145,17 @@ def test_fixed_matrices_round_trip():
     assert (ZERO.ints, ZERO.den) == ((0,) * 32, 1)
 
 
+def scalar(q: Quat) -> QMat2:
+    """q times the identity: left multiplication by it scales every entry."""
+    return QMat2.diag(q, q)
+
+
 def test_equal_matrices_by_different_routes_are_equal_and_hash_equal():
     routes = [
-        ((IDENTITY + IDENTITY + IDENTITY).scale(THIRD), IDENTITY),
+        (scalar(THIRD) * (IDENTITY + IDENTITY + IDENTITY), IDENTITY),
         (THIRDS - THIRDS, ZERO),
         (QUARTERS + THIRDS - THIRDS, QUARTERS),
-        (THIRDS.scale(Gold(3)).scale(THIRD), THIRDS),
+        (scalar(THIRD) * (scalar(Quat.of(3)) * THIRDS), THIRDS),
         (-(-QUARTERS), QUARTERS),
         (THIRDS.galois().galois(), THIRDS),
         (MINUS_IDENTITY * THIRDS, -THIRDS),
@@ -161,7 +166,7 @@ def test_equal_matrices_by_different_routes_are_equal_and_hash_equal():
 
 
 def test_equal_integers_over_different_denominators_differ():
-    half = IDENTITY.scale(Gold(1, 0, 2))
+    half = scalar(Quat.of(Gold(1, 0, 2))) * IDENTITY
     assert half.ints == IDENTITY.ints and half.den == 2
     assert half != IDENTITY and half + half == IDENTITY
 

@@ -85,7 +85,8 @@ def test_the_omega_convention_is_caught_by_the_relations_only():
     # f built from omega instead of omega^2 (see the generators docstring):
     # the group still closes at 120, and only (fg)^3 = 1 fails
     w, w2 = OMEGA, OMEGA * OMEGA
-    f = QMat2(Q_ONE, w2 * PHI - w, w2 * PHI - w2, w * PHI).scale((w - w2) * THIRD)
+    c = (w - w2) * THIRD
+    f = QMat2.diag(c, c) * QMat2(Q_ONE, w2 * PHI - w, w2 * PHI - w2, w * PHI)
     _, g, h = generators()
     assert len(FiniteGroup.closure([f, g, h], mul, IDENTITY)) == 120
     with pytest.raises(ValueError) as err:

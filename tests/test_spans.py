@@ -268,7 +268,7 @@ def test_a_corrupted_element_fails_the_unitarity_check():
     with pytest.raises(ValueError, match="not unitary"):
         trace_pairs(corrupted, g.inverse)
     scaled = list(g.elements)
-    scaled[7] = m.scale(Gold(2))
+    scaled[7] = QMat2.diag(Quat.of(2), Quat.of(2)) * m
     with pytest.raises(ValueError, match="not unitary"):
         trace_pairs(scaled, g.inverse)
     swapped = list(g.inverse)
