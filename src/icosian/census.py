@@ -152,14 +152,17 @@ def q8_subgroups() -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ..
     """(all, normalized): the order-8 subgroups, and those normalized by g.
 
     Every order-8 subgroup here is a quaternion group: it has a unique
-    involution, which is checked.  Each pair of order-4 elements is closed
-    by ``closure_within`` only until the closure passes 8 elements, so 8
-    elements reached are the whole subgroup the pair generates.
+    involution, which is checked, and two of its order-4 elements generate
+    it.  Since -1 is G's only involution, every order-4 x has x^2 = -1, so
+    -x = x^3 and <x, y> = <-x, y>: the 105 pairs of the 15 sign-pairs'
+    representatives (not all 435 pairs of order-4 elements) are closed by
+    ``closure_within`` only until it passes 8 elements, so 8 elements
+    reached are the whole subgroup the pair generates.
     """
-    G, _, _ = _group_data()
-    elems = [i for i in range(len(G)) if G.element_order(i) == 4]
+    G = build_o1()
+    reps = [min(pair) for pair in order4_census().items]
     found: set[frozenset[int]] = set()
-    for pair in combinations(elems, 2):
+    for pair in combinations(reps, 2):
         seen = G.closure_within(pair, 8)
         if len(seen) == 8:
             found.add(frozenset(seen))

@@ -9,9 +9,9 @@ tensor products and validated by exact orthonormality.
 
 A class function is a ``CharVector``, a GoldVector of its nine values: 18
 Z[sqrt5] integers over one denominator, in class order.  Construction,
-products, sums, the Galois map, inner products, decomposition and branching
-(a recursion in CharVector products) all run on those integers; the
-irreducibles are kept in ``LABELS`` order.
+products, sums, the Galois map, decomposition (the one inner product with
+the irreducibles, which certifies the table) and branching (a recursion in
+CharVector products) run on those integers, in ``LABELS`` order.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from math import lcm
 from operator import mul
 
-from .goldnum import Gold, GoldVector, ONE as G_ONE, dot_pairs, flatten, gold_str
+from .goldnum import GoldVector, dot_pairs, flatten, gold_str
 from .groupkit import ClosureError, FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
@@ -80,6 +80,10 @@ class CharTable:
         self.class_reps = tuple(min(c) for c in self.classes)
         self.irreducibles = self._build()
         self.by_label = dict(zip(LABELS, self.irreducibles))
+        # one multiplicity 1 and eight 0s per irreducible: all 81 pairings
+        for label, chi in self.by_label.items():
+            if self.decompose(chi) != {label: 1}:
+                raise ValueError(f"character {label} is not irreducible")
         self._spins: list[CharVector] = []  # hyperspin(0), hyperspin(1), ...
 
     # -- construction ---------------------------------------------------
@@ -118,7 +122,7 @@ class CharTable:
             a, b = elements[i].re_trace()
             return 2 * a, 2 * b, elements[i].den
 
-        chi1 = CharVector([G_ONE] * len(self.classes))
+        chi1 = CharVector._canonical((1, 0) * len(self.classes), 1)
         chi2a = self.class_function(two_w)
         chi2b = chi2a.galois()
         chi3a = self.class_function(trace_3a)
@@ -127,19 +131,9 @@ class CharTable:
         chi4a = chi2a * chi2b
         chi5 = chi2b * chi4b - chi3b
         chi6 = chi2b * chi3a
-        irr = (chi1, chi2a, chi2b, chi3a, chi3b, chi4a, chi4b, chi5, chi6)
-        for label, chi in zip(LABELS, irr):
-            if self.inner(chi, chi) != G_ONE:
-                raise ValueError(f"character {label} is not irreducible")
-        return irr
+        return (chi1, chi2a, chi2b, chi3a, chi3b, chi4a, chi4b, chi5, chi6)
 
     # -- arithmetic -----------------------------------------------------
-
-    def inner(self, chi: CharVector, psi: CharVector) -> Gold:
-        """(1/|G|) sum over classes of size * chi * psi (real-valued table),
-        summed on Z[sqrt5] integers."""
-        return Gold(*dot_pairs(chi.ints, psi.ints, self.class_sizes),
-                    chi.den * psi.den * len(self.group))
 
     def columns_orthogonal(self) -> bool:
         """Whether the sum over characters of chi(c)*chi(d) is |G|/size(c) for
@@ -162,9 +156,7 @@ class CharTable:
         irreducible y/q, its multiplicity is the sum of size*x*y over p*q*|G|,
         read as two integer dot products of x with the irreducible's weight
         rows; the sum of m*y, over the least common q, must equal chi."""
-        x, p = chi.ints, chi.den
-        if len(x) != 2 * len(self.classes):
-            raise ValueError(f"class function has {len(x) // 2} values, not {len(self.classes)}")
+        x, p = self._values(chi), chi.den
         den = lcm(*[irr.den for irr in self.irreducibles])
         mults: dict[str, int] = {}
         recon = [0] * len(x)
@@ -198,17 +190,27 @@ class CharTable:
             rows.append((tuple(w_rat), tuple(w_root)))
         return tuple(rows)
 
+    def _values(self, chi: CharVector) -> tuple[int, ...]:
+        """chi's integers, checked to hold one value per class."""
+        if len(chi.ints) != 2 * len(self.classes):
+            raise ValueError(f"class function has {len(chi.ints) // 2} values,"
+                             f" not {len(self.classes)}")
+        return chi.ints
+
     def fs_indicator(self, chi: CharVector) -> int:
         """Frobenius-Schur indicator (1/|G|) sum chi(x^2): the inner product
-        of the class function x -> chi(x^2) with the trivial character."""
-        table = self.group.table
-        class_of = self.partition.class_of
-        pairs = list(zip(chi.ints[0::2], chi.ints[1::2]))
-        squares = self.class_function(lambda i: (*pairs[class_of[table[i][i]]], chi.den))
-        ind = self.inner(squares, self.by_label["1"])
-        if not ind.is_integer or abs(ind.na) > 1:
-            raise ValueError(f"indicator {ind} outside {{-1, 0, 1}}")
-        return ind.na
+        of the class function x -> chi(x^2) with the trivial character, on
+        Z[sqrt5] integers.  Squaring maps each class into one class, so that
+        function is read at the class representatives."""
+        x, t, class_of = self._values(chi), self.group.table, self.partition.class_of
+        pairs = list(zip(x[0::2], x[1::2]))
+        squares = [v for r in self.class_reps for v in pairs[class_of[t[r][r]]]]
+        rat, root = dot_pairs(squares, self.by_label["1"].ints, self.class_sizes)
+        n = chi.den * len(self.group)
+        ind, rest = divmod(rat, n)
+        if root or rest or abs(ind) > 1:
+            raise ValueError(f"indicator {gold_str(rat, root, n)} outside {{-1, 0, 1}}")
+        return ind
 
     # -- branching from the ambient SU(2) -------------------------------
 

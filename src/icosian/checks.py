@@ -201,14 +201,9 @@ def check_gamma_group():
         [1, 1, 12, 12, 12, 12, 20, 20, 30]))
 def check_chars_table():
     from .chars import char_table
-    from .goldnum import ONE, ZERO
     ct = char_table()
     dims = sorted(chi.degree() for chi in ct.irreducibles)
-    ortho = all(
-        ct.inner(a, b) == (ONE if i == j else ZERO)
-        for i, a in enumerate(ct.irreducibles)
-        for j, b in enumerate(ct.irreducibles)
-    )
+    ortho = all(ct.decompose(chi) == {label: 1} for label, chi in ct.by_label.items())
     return dims, sum(d * d for d in dims), ortho, sorted(ct.class_sizes)
 
 

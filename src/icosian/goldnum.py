@@ -271,6 +271,3 @@ def gold_str(na: int, nb: int, den: int) -> str:
     sep = "+" if not root.startswith("-") else ""
     return _fmt_rat(na, den) + sep + root
 
-
-ZERO = Gold(0)
-ONE = Gold(1)

@@ -19,7 +19,7 @@ from typing import Callable, Generic, Hashable, Iterable, NamedTuple, Sequence, 
 T = TypeVar("T", bound=Hashable)
 
 
-class ClosureError(RuntimeError):
+class ClosureError(ValueError):
     """Raised when a closure exceeds its cap or an input is inconsistent."""
 
 

@@ -90,7 +90,7 @@ def roots() -> tuple[tuple[Spinor2, ...], ...]:
     scalars = scalar_group().elements
     classes = tuple(tuple(base.scale(s) for s in scalars) for base in base_spinors())
     flat = [sp for cls in classes for sp in cls]
-    three = Quat.of(3)
+    three = Q_ONE + Q_ONE + Q_ONE
     for sp in flat:
         if spinor_norm2(sp) != three:
             raise ValueError(f"root {sp} has squared norm != 3")
@@ -127,9 +127,9 @@ def reflection_matrices() -> tuple[QMat2, ...]:
 
 @cache
 def build_o1() -> FiniteGroup[QMat2]:
-    """The full group from the f, g, h generators, G_RELATIONS checked on
-    its Cayley graph; the check group.order certifies that it closes at 120."""
-    return closure_with_relations(generators(), LETTERS, G_RELATIONS)
+    """The full group from the f, g, h generators, closed up to 1000 elements
+    and G_RELATIONS checked on its Cayley graph; group.order certifies 120."""
+    return closure_with_relations(generators(), LETTERS, G_RELATIONS, cap=1000)
 
 
 def word_index(letters: str) -> int:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from icosian import census
@@ -77,6 +79,25 @@ def test_q8_subgroups():
     all_q8, normalized = census.q8_subgroups()
     assert len(all_q8) == 5
     assert len(normalized) == 2
+
+
+def test_q8_subgroups_close_each_pair_of_sign_pairs_once(monkeypatch):
+    # one order-4 element per sign-pair: C(15, 2) = 105 closures, one for
+    # each pair of different sign-pairs
+    G = build_o1()
+    items = census.order4_census().items
+    item_of = {i: item for item in items for i in item}
+    closed = []
+    within = G.closure_within
+
+    def recording(gens, limit):
+        closed.append(frozenset(item_of[i] for i in gens))
+        return within(gens, limit)
+
+    monkeypatch.setattr(G, "closure_within", recording)
+    census.q8_subgroups()
+    assert len(closed) == 105
+    assert set(closed) == {frozenset(pair) for pair in combinations(items, 2)}
 
 
 def test_order4_structure():

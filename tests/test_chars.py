@@ -66,14 +66,6 @@ def test_a_bad_lift_raises_value_error(monkeypatch, image):
         build_quat_lift(build_o1())
 
 
-def test_row_orthonormality():
-    table = ct()
-    one, zero = Gold(1), Gold(0)
-    for i, a in enumerate(table.irreducibles):
-        for j, b in enumerate(table.irreducibles):
-            assert table.inner(a, b) == (one if i == j else zero)
-
-
 def reference_inner(table, chi, psi):
     """The inner product as a sum of Gold products: the integer form's reference."""
     total = Gold(0)
@@ -82,13 +74,14 @@ def reference_inner(table, chi, psi):
     return total * Gold(len(table.group)).inverse()
 
 
-def test_inner_matches_gold_sum_on_irreducibles_and_hyperspins():
+def test_row_orthonormality():
+    # each irreducible decomposes as itself once, which the construction
+    # requires; the 81 pairings also hold as sums of Gold products
     table = ct()
-    spins = [table.hyperspin(tj) for tj in range(25)]
-    for chi in table.irreducibles:
-        for psi in table.irreducibles + tuple(spins):
-            assert table.inner(chi, psi) == reference_inner(table, chi, psi)
-            assert table.inner(psi, chi) == reference_inner(table, psi, chi)
+    for i, (label, a) in enumerate(table.by_label.items()):
+        assert table.decompose(a) == {label: 1}
+        for j, b in enumerate(table.irreducibles):
+            assert reference_inner(table, a, b) == Gold(1 if i == j else 0)
 
 
 class_functions = st.lists(golds, min_size=9, max_size=9).map(
@@ -98,9 +91,7 @@ class_functions = st.lists(golds, min_size=9, max_size=9).map(
 @given(class_functions, class_functions,
        st.lists(st.integers(min_value=-30, max_value=30), min_size=9, max_size=9),
        st.integers(min_value=1, max_value=130))
-def test_inner_matches_gold_sum_on_class_functions(chi, psi, weights, den):
-    table = ct()
-    assert table.inner(chi, psi) == reference_inner(table, chi, psi)
+def test_dot_pairs_matches_gold_sum_on_class_functions(chi, psi, weights, den):
     total = Gold(0)
     for w, a, b in zip(weights, flatten(chi), flatten(psi)):
         total = total + a * b * Gold(w)
@@ -202,15 +193,25 @@ def test_sum_tensor_identities():
 
 
 def test_a_class_function_of_the_wrong_length_is_rejected():
-    # the trivial character cut to 8 classes: inner and decompose raise
-    # instead of reading the missing class as absent
+    # the trivial character cut to 8 classes or grown to 10: decompose and
+    # fs_indicator raise instead of reading the missing class as absent or
+    # ignoring the extra one
     table = ct()
-    chi1 = table.by_label["1"]
-    short = CharVector(flatten(chi1)[:8])
-    with pytest.raises(ValueError):
-        table.inner(short, chi1)
-    with pytest.raises(ValueError, match="8 values, not 9"):
-        table.decompose(short)
+    values = flatten(table.by_label["1"])
+    for wrong in (values[:8], values + [Gold(1)]):
+        chi = CharVector(wrong)
+        for read in (table.decompose, table.fs_indicator):
+            with pytest.raises(ValueError, match=f"{len(wrong)} values, not 9"):
+                read(chi)
+
+
+def test_fs_indicator_rejects_a_sqrt5_part():
+    # sqrt5 on the identity class only: chi(x^2) is sqrt5 on x = 1 and x = -1,
+    # so the sum is 2*sqrt5/120, with a rational part 0 that is in range
+    table = ct()
+    chi = CharVector([Gold(0, 1)] + [Gold(0)] * 8)
+    with pytest.raises(ValueError, match="indicator 1/60√5 outside"):
+        table.fs_indicator(chi)
 
 
 def test_class_functions_of_different_lengths_do_not_combine():
@@ -230,10 +231,9 @@ def test_decompose_rejects_non_character():
         table.decompose(bogus)
 
 
-def table_with(monkeypatch, label, chi):
-    """A fresh table whose irreducible `label` is chi, swapped in after the
-    construction's own checks: decompose and hyperspin read the
-    irreducibles' integers on each call, so they see the swap."""
+def build_with(monkeypatch, label, chi):
+    """Build a fresh table whose irreducible `label` is chi, swapped in
+    before the construction certifies the irreducibles by ``decompose``."""
     build = CharTable._build
     monkeypatch.setattr(CharTable, "_build", lambda self: tuple(
         chi if lab == label else irr for lab, irr in zip(LABELS, build(self))))
@@ -241,13 +241,19 @@ def table_with(monkeypatch, label, chi):
 
 
 def test_decompose_rejects_a_failed_reconstruction(monkeypatch):
-    # with 5 listed twice and 6 missing, every multiplicity of 6 is a
-    # non-negative integer (all 0), and only the reconstruction catches it
-    table = table_with(monkeypatch, "6", ct().by_label["5"])
-    assert table.irreducibles.count(ct().by_label["5"]) == 2
-    assert table.by_label["6"] == ct().by_label["5"]
+    # with 5 listed twice and 6 missing, 5 decomposes as 5 + 6 with
+    # multiplicities that are non-negative integers, and its reconstruction
+    # fails when the table is built, before the multiplicities are compared
     with pytest.raises(ValueError, match="reconstruct"):
-        table.decompose(ct().by_label["6"])
+        build_with(monkeypatch, "6", ct().by_label["5"])
+
+
+def test_a_table_with_a_zero_row_is_rejected(monkeypatch):
+    # zero decomposes, and reconstructs, as no irreducible at all, so only
+    # the test for multiplicity 1 catches it
+    zero = ct().by_label["2a"] - ct().by_label["2a"]
+    with pytest.raises(ValueError, match="character 2a is not irreducible"):
+        build_with(monkeypatch, "2a", zero)
 
 
 def test_hyperspin_rows():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from icosian import census, checks, reflgroup
+from icosian import census, chars, checks, quat, reflgroup, spans
 from icosian.chars import CharVector, char_table
 from icosian.checks import REGISTRY, Claimed, VerificationReport, check, run_checks
 from icosian.claim import Claim
@@ -155,3 +155,27 @@ def test_a_failing_relation_turns_every_check_on_g_red(monkeypatch):
     report = run_checks("group")
     assert [(r.status, r.actual) for r in report.results] == [
         ("fail", "relations fail: fgfgf = 1")] * 2
+
+
+def clear_caches():
+    """Empty every cached layer, so the next call builds it again."""
+    for module in (quat, reflgroup, chars, census, spans):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_a_closure_past_its_cap_fails_its_rows_instead_of_raising(monkeypatch):
+    # 1/2 in place of 1/3 gives f infinite order: G's closure runs past its
+    # cap, and each check that reads G fails on that text
+    monkeypatch.setattr(reflgroup, "THIRD", Quat.of(Gold(1, 0, 2)))
+    clear_caches()
+    try:
+        report = run_checks()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    rows = {r.id: r for r in report.results}
+    assert list(rows) == [fn.id for fn in REGISTRY]
+    assert (rows["group.order"].status, rows["group.order"].actual) == (
+        "fail", "closure exceeded cap 1000")

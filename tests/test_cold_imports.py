@@ -65,15 +65,16 @@ from icosian.goldnum import Gold
 sites = collections.Counter()
 init = Gold.__init__
 def counted(self, *args):
-    # the first caller outside the layers that build Golds on request
+    # the first function outside the layers that build Golds on request
     f = sys._getframe(1)
-    while os.path.basename(f.f_code.co_filename) in ("goldnum.py", "quat.py"):
+    while (os.path.basename(f.f_code.co_filename) in ("goldnum.py", "quat.py")
+           or f.f_code.co_name.startswith("<")):
         f = f.f_back
     sites[os.path.basename(f.f_code.co_filename) + ":" + f.f_code.co_name] += 1
     init(self, *args)
 Gold.__init__ = counted
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["verify", "--json"])
+    code = main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "sites": sites}))
 """
 
@@ -149,15 +150,19 @@ def test_importing_quat_makes_no_gold_arithmetic():
     assert fresh_python(GOLD_OPS_SCRIPT) == []
 
 
-def test_verify_builds_golds_only_for_inner_products_and_the_root_norm():
-    # every exact product multiplies two values of one class, so after
-    # import the only Golds are CharTable.inner's values and the four
-    # coefficients of roots()' Quat.of(3)
-    run = fresh_python(GOLD_SITES_SCRIPT)
-    assert run["code"] == 1
-    sites = run["sites"]
-    assert sites.pop("reflgroup.py:roots") == 4
-    assert list(sites) == ["chars.py:inner"]
+@pytest.mark.parametrize("argv", [
+    ["verify", "--json"], ["branch", "--max-two-j", "24", "--json"],
+    ["decompose", "2b", "4b", "--json"], ["roots", "--full", "--json"],
+    ["orbits", "--json"], ["algebra", "--json"], ["table", "--json"],
+], ids=" ".join)
+def test_views_build_golds_only_to_print_the_table(argv):
+    # every exact product multiplies two values of one class and every
+    # inner product runs on integers, so after import a cold view builds no
+    # Gold, except that table prints each character value as one
+    run = fresh_python(GOLD_SITES_SCRIPT, json.dumps(argv))
+    assert run["code"] == (1 if argv[0] == "verify" else 0)
+    printing = {"cli.py:cmd_table", "chars.py:to_json"} if argv[0] == "table" else set()
+    assert set(run["sites"]) == printing
 
 
 def dataclass_imports(tree: ast.AST) -> list[str]:

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icosian.chars import CharVector
-from icosian.goldnum import Gold, GoldVector, ONE, ZERO
+from icosian.goldnum import Gold, GoldVector
 from icosian.qmat2 import IDENTITY
 from icosian.quat import I, ONE as Q_ONE, Quat
 from conftest import golds, nonzero_golds
@@ -20,7 +20,7 @@ HALF = Gold(1, 0, 2)
 def test_canonical_form():
     assert Gold(2, 4, 6) == Gold(1, 2, 3)
     assert Gold(1, 0, -2) == Gold(-1, 0, 2)
-    assert Gold(0, 0, 7) == ZERO
+    assert Gold(0, 0, 7) == Gold(0)
 
 
 def test_of_rejects_floats():
@@ -43,10 +43,10 @@ def test_fractions_are_neither_values_nor_operands():
 
 
 def test_tau_sigma():
-    assert TAU + SIGMA == ONE
+    assert TAU + SIGMA == Gold(1)
     assert TAU * SIGMA == Gold(-1)
     assert TAU - SIGMA == SQRT5
-    assert TAU * TAU == TAU + ONE
+    assert TAU * TAU == TAU + Gold(1)
     assert CharVector([TAU]) * CharVector([TAU]).galois() == CharVector([Gold(-1)])
 
 
@@ -62,10 +62,10 @@ def test_galois():
 
 def test_division():
     x = Gold(3, 2, 7)
-    assert x * x.inverse() == ONE
-    assert TAU.inverse() == TAU - ONE  # 1/tau = tau - 1
+    assert x * x.inverse() == Gold(1)
+    assert TAU.inverse() == TAU - Gold(1)  # 1/tau = tau - 1
     with pytest.raises(ZeroDivisionError):
-        ZERO.inverse()
+        Gold(0).inverse()
     with pytest.raises(ZeroDivisionError):
         Gold(1, 0, 0)
 
@@ -88,8 +88,8 @@ def test_mixed_int_arithmetic():
     assert TAU * 2 == Gold(1, 1)
     assert 1 + SIGMA == Gold(3, -1, 2)
     assert 1 - TAU == SIGMA
-    assert 2 * (ONE + ONE).inverse() == ONE
-    assert 1 * TAU.inverse() == TAU - ONE
+    assert 2 * (Gold(1) + Gold(1)).inverse() == Gold(1)
+    assert 1 * TAU.inverse() == TAU - Gold(1)
     assert 1 - TAU * 2 == -SQRT5
 
 
@@ -99,28 +99,28 @@ def test_mixed_int_arithmetic():
 ])
 def test_reflected_float_operands_are_unsupported(op, symbol):
     with pytest.raises(TypeError, match=f"for {symbol}: 'float' and 'Gold'"):
-        op(0.5, ONE)
+        op(0.5, Gold(1))
 
 
 @given(golds, golds, golds)
 def test_field_axioms_additive(x, y, z):
     assert x + y == y + x
     assert (x + y) + z == x + (y + z)
-    assert x + ZERO == x
-    assert x + (-x) == ZERO
+    assert x + Gold(0) == x
+    assert x + (-x) == Gold(0)
 
 
 @given(golds, golds, golds)
 def test_field_axioms_multiplicative(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
-    assert x * ONE == x
+    assert x * Gold(1) == x
     assert x * (y + z) == x * y + x * z
 
 
 @given(nonzero_golds)
 def test_inverse_law(x):
-    assert x * x.inverse() == ONE
+    assert x * x.inverse() == Gold(1)
 
 
 @given(golds, golds)
@@ -135,7 +135,7 @@ def test_galois_is_homomorphism(x, y):
 def test_vectors_of_different_classes_do_not_combine():
     # the ints of two classes differ in length and meaning, so zipping them
     # is no sum
-    chi = CharVector([ONE, TAU, SIGMA, ZERO])
+    chi = CharVector([Gold(1), TAU, SIGMA, Gold(0)])
     for op, symbol, x, y in [(operator.add, r"\+", Q_ONE, IDENTITY),
                              (operator.sub, "-", IDENTITY, I),
                              (operator.mul, r"\*", chi, I),

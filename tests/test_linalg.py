@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icosian import linalg
-from icosian.goldnum import Gold, ZERO, integer_pairs
+from icosian.goldnum import Gold, integer_pairs
 from icosian.linalg import Echelon, rank
 from icosian.reflgroup import build_o1
 from icosian.spans import span_dim
@@ -94,7 +94,7 @@ class PerStepPrimitiveEchelon:
 
 
 def combine(coeffs, rows):
-    out = [ZERO] * len(rows[0])
+    out = [Gold(0)] * len(rows[0])
     for c, row in zip(coeffs, rows):
         out = [a + c * b for a, b in zip(out, row)]
     return out
@@ -138,8 +138,8 @@ def test_a_free_column_before_a_later_pivot_becomes_the_pivot():
     # 2: elimination stops there, so v is stored as it came, not reduced
     # against that later row
     ech, ref = Echelon(4), ReferenceEchelon()
-    later = [ZERO, ZERO, Gold(1), Gold(0, 1)]
-    v = [ZERO, Gold(1, 1, 2), Gold(2, 1), Gold(1)]
+    later = [Gold(0), Gold(0), Gold(1), Gold(0, 1)]
+    v = [Gold(0), Gold(1, 1, 2), Gold(2, 1), Gold(1)]
     assert ech.add(ints(later)) and ref.add(later)
     assert not ech.contains(ints(v)) and not ref.contains(v)
     assert ech.add(ints(v)) and ref.add(v)
@@ -174,7 +174,7 @@ def test_full_span_absorbs_everything(data):
     ech = Echelon(width)
     for i in range(width):
         # a nonzero entry at i and zeros before it: independent rows
-        assert ech.add(ints([ZERO] * i + [diagonal[i]] + fill[i][i + 1:]))
+        assert ech.add(ints([Gold(0)] * i + [diagonal[i]] + fill[i][i + 1:]))
     assert ech.dim == ech.width == width
     for vec in fill:
         assert not ech.add(ints(vec))
