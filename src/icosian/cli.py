@@ -115,6 +115,9 @@ def cmd_table(args) -> int:
     from .goldnum import flatten
     from .reflgroup import word_string
     ct = char_table()
+    if args.json:  # the text formats every value, so build it only to print it
+        _emit(args, ct, "")
+        return 0
     lines = []
     header = ["class order"] + [str(o) for o in ct.class_orders]
     lines.append("  ".join(f"{h:>10}" for h in header))

@@ -108,7 +108,10 @@ class FiniteGroup(Generic[T]):
         return len(self.elements)
 
     def index(self, x: T) -> int:
-        return self._index[x]
+        try:
+            return self._index[x]
+        except KeyError:
+            raise ClosureError(f"{x!r} is not an element of the group") from None
 
     def word(self, k: int) -> tuple[int, ...]:
         """Generator positions of the BFS word of element k (() for 0)."""

@@ -6,11 +6,11 @@ conjugates its first argument.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from math import lcm
+from operator import add
 
 from .goldnum import GoldVector
-from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO
+from .quat import Quat, ONE as Q_ONE, ZERO as Q_ZERO, hamilton
 from .record import Record
 
 
@@ -45,9 +45,9 @@ class QMat2(GoldVector):
 
     A GoldVector of its 16 coefficients (entries in reading order, each as
     w, x, y, z): 32 Z[sqrt5] integers over one denominator.  The product
-    (one ``hamilton_dot`` call per entry and one gcd reduction) runs on the
-    integers, as the sums and the Galois map do, and builds no Gold; the
-    entries ``m11`` ... ``m22`` are built as Quats on demand.
+    (two ``quat.hamilton`` calls per entry, summed, and one gcd reduction)
+    runs on the integers, as the sums and the Galois map do, and builds no
+    Gold; the entries ``m11`` ... ``m22`` are built as Quats on demand.
     """
 
     __slots__ = ()
@@ -88,14 +88,16 @@ class QMat2(GoldVector):
 
     def __mul__(self, other):
         if isinstance(other, QMat2):
-            # entry (r, c) is the row m_r1, m_r2 dotted with the column n_1c,
-            # n_2c; rows are contiguous in ints, columns are 16 ints apart
+            # entry (r, c) is m_r1 n_1c + m_r2 n_2c: the four m_r1 n_1c, then
+            # the four m_r2 n_2c, each in reading order, summed on the integers
             m, n = self.ints, other.ints
-            r1, r2 = m[:16], m[16:]
-            c1, c2 = n[0:8] + n[16:24], n[8:16] + n[24:32]
-            return QMat2._reduced(hamilton_dot(r1, c1) + hamilton_dot(r1, c2)
-                                  + hamilton_dot(r2, c1) + hamilton_dot(r2, c2),
-                                  self.den * other.den)
+            m11, m12, m21, m22 = m[0:8], m[8:16], m[16:24], m[24:32]
+            n11, n12, n21, n22 = n[0:8], n[8:16], n[16:24], n[24:32]
+            first = (hamilton(m11, n11) + hamilton(m11, n12)
+                     + hamilton(m21, n11) + hamilton(m21, n12))
+            second = (hamilton(m12, n21) + hamilton(m12, n22)
+                      + hamilton(m22, n21) + hamilton(m22, n22))
+            return QMat2._reduced(tuple(map(add, first, second)), self.den * other.den)
         return NotImplemented
 
     def re_trace(self) -> tuple[int, int]:
@@ -115,37 +117,6 @@ class QMat2(GoldVector):
 
     def __repr__(self) -> str:
         return f"QMat2{self.key()}"
-
-
-def hamilton_dot(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """x1*y1 + x2*y2 for quaternions x = (x1, x2) and y = (y1, y2), on Z[sqrt5]
-    integers: one entry of a QMat2 product.
-
-    x and y hold two quaternions each in the ``quat.hamilton`` format, 16 ints
-    over a common denominator; the result is the sum's 8 ints over the product
-    of the two denominators.  Each product's terms are ``hamilton``'s (upper
-    case for the second), summed before the one multiplication by 5.
-    """
-    a, a5, b, b5, c, c5, d, d5, A, A5, B, B5, C, C5, D, D5 = x
-    e, e5, f, f5, g, g5, h, h5, E, E5, F, F5, G, G5, H, H5 = y
-    return (
-        a*e - b*f - c*g - d*h + A*E - B*F - C*G - D*H
-        + 5 * (a5*e5 - b5*f5 - c5*g5 - d5*h5 + A5*E5 - B5*F5 - C5*G5 - D5*H5),
-        a*e5 + a5*e - b*f5 - b5*f - c*g5 - c5*g - d*h5 - d5*h
-        + A*E5 + A5*E - B*F5 - B5*F - C*G5 - C5*G - D*H5 - D5*H,
-        a*f + b*e + c*h - d*g + A*F + B*E + C*H - D*G
-        + 5 * (a5*f5 + b5*e5 + c5*h5 - d5*g5 + A5*F5 + B5*E5 + C5*H5 - D5*G5),
-        a*f5 + a5*f + b*e5 + b5*e + c*h5 + c5*h - d*g5 - d5*g
-        + A*F5 + A5*F + B*E5 + B5*E + C*H5 + C5*H - D*G5 - D5*G,
-        a*g - b*h + c*e + d*f + A*G - B*H + C*E + D*F
-        + 5 * (a5*g5 - b5*h5 + c5*e5 + d5*f5 + A5*G5 - B5*H5 + C5*E5 + D5*F5),
-        a*g5 + a5*g - b*h5 - b5*h + c*e5 + c5*e + d*f5 + d5*f
-        + A*G5 + A5*G - B*H5 - B5*H + C*E5 + C5*E + D*F5 + D5*F,
-        a*h + b*g - c*f + d*e + A*H + B*G - C*F + D*E
-        + 5 * (a5*h5 + b5*g5 - c5*f5 + d5*e5 + A5*H5 + B5*G5 - C5*F5 + D5*E5),
-        a*h5 + a5*h + b*g5 + b5*g - c*f5 - c5*f + d*e5 + d5*e
-        + A*H5 + A5*H + B*G5 + B5*G - C*F5 - C5*F + D*E5 + D5*E,
-    )
 
 
 ZERO = QMat2.diag(Q_ZERO, Q_ZERO)

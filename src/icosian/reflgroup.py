@@ -12,7 +12,7 @@ from functools import cache
 from operator import mul
 
 from .goldnum import Gold
-from .groupkit import FiniteGroup
+from .groupkit import ClosureError, FiniteGroup
 from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO, spinor_norm2
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
@@ -46,14 +46,15 @@ G_RELATIONS = (("ff", -1, ""), ("ghgh", -1, ""), ("hh", -1, ""),
 
 
 def closure_with_relations(gens: tuple[QMat2, ...], letters: str, relations: tuple,
-                           cap: int = 10_000) -> FiniteGroup[QMat2]:
+                           cap: int) -> FiniteGroup[QMat2]:
     """Close the group of the generators, one letter each, and read both
     sides of each relation on its Cayley graph by ``word_index``, -1 along
-    the word of MINUS_IDENTITY.  Raises ValueError naming each failing one."""
+    the word of MINUS_IDENTITY.  Raises ValueError naming each failing one;
+    the closure raises ClosureError past ``cap`` elements."""
     group = FiniteGroup.closure(list(gens), mul, IDENTITY, cap=cap)
     try:
         minus = group.word(group.index(MINUS_IDENTITY))
-    except KeyError:  # no -I: each relation with sign -1 fails
+    except ClosureError:  # no -I: each relation with sign -1 fails
         minus = None
     failed = []
     for lhs, sign, rhs in relations:
@@ -127,9 +128,9 @@ def reflection_matrices() -> tuple[QMat2, ...]:
 
 @cache
 def build_o1() -> FiniteGroup[QMat2]:
-    """The full group from the f, g, h generators, closed up to 1000 elements
+    """The full group from the f, g, h generators, closed up to its order 120
     and G_RELATIONS checked on its Cayley graph; group.order certifies 120."""
-    return closure_with_relations(generators(), LETTERS, G_RELATIONS, cap=1000)
+    return closure_with_relations(generators(), LETTERS, G_RELATIONS, cap=120)
 
 
 def word_index(letters: str) -> int:
@@ -197,8 +198,8 @@ def gamma_matrices() -> tuple[QMat2, QMat2, QMat2, QMat2]:
 @cache
 def gamma_group() -> FiniteGroup[QMat2]:
     """The group the gammas generate, GAMMA_RELATIONS checked on its Cayley
-    graph; the check gamma.group certifies that it closes at order 32."""
-    return closure_with_relations(gamma_matrices(), GAMMA_LETTERS, GAMMA_RELATIONS, cap=1000)
+    graph, closed up to its order 32; the check gamma.group certifies it."""
+    return closure_with_relations(gamma_matrices(), GAMMA_LETTERS, GAMMA_RELATIONS, cap=32)
 
 
 def gamma_reflections() -> tuple[list[int], list[int]]:

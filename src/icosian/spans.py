@@ -18,6 +18,7 @@ from math import lcm
 
 from .claim import Claim
 from .goldnum import flatten  # noqa: F401  (re-exported: the coordinates as Golds)
+from .groupkit import ClosureError
 from .linalg import Echelon, rank
 from .qmat2 import IDENTITY, QMat2, ZERO
 from .quat import ONE as Q_ONE, PHI, THETA, ZERO as Q_ZERO
@@ -35,7 +36,7 @@ def span_dim(mats: list[QMat2]) -> int:
         index = build_o1().index
         try:
             indices = [index(m) for m in mats]
-        except KeyError:  # a matrix outside G: only its own rows rank it
+        except ClosureError:  # a matrix outside G: only its own rows rank it
             pass
         else:
             return gram_rank(indices)
@@ -132,18 +133,13 @@ def algebra_closure_dim(mats: list[QMat2]) -> int:
     elements is returned; no matrix product is made.  The rank is a function
     of H alone, so it is taken once per subgroup (G has 76) and memoised on
     H's index set.  ``[]`` gives 0, as the algebra has no unit of its own.
-    A matrix outside G raises ValueError (``algebra_closure`` takes any
-    matrices).  The first call builds G.
+    A matrix outside G raises ClosureError, a ValueError
+    (``algebra_closure`` takes any matrices).  The first call builds G.
     """
     if not mats:
         return 0
     group = build_o1()
-    try:
-        gens = [group.index(m) for m in mats]
-    except KeyError:
-        raise ValueError("not an element of G; algebra_closure takes any"
-                         " matrices") from None
-    return subgroup_span_dim(group.subgroup_indices(gens))
+    return subgroup_span_dim(group.subgroup_indices([group.index(m) for m in mats]))
 
 
 @cache

@@ -7,7 +7,7 @@ from icosian.chars import CharVector, char_table
 from icosian.checks import REGISTRY, Claimed, VerificationReport, check, run_checks
 from icosian.claim import Claim
 from icosian.goldnum import Gold, flatten
-from icosian.qmat2 import QMat2
+from icosian.qmat2 import IDENTITY, QMat2
 from icosian.quat import Quat
 from icosian.reflgroup import build_o1, gamma_group
 
@@ -151,7 +151,7 @@ def test_a_failing_relation_turns_every_check_on_g_red(monkeypatch):
     mistyped = tuple(("fgfgf", 1, "") if rel == ("fgfgfg", 1, "") else rel
                      for rel in reflgroup.G_RELATIONS)
     monkeypatch.setattr(reflgroup, "build_o1", lambda: reflgroup.closure_with_relations(
-        reflgroup.generators(), reflgroup.LETTERS, mistyped))
+        reflgroup.generators(), reflgroup.LETTERS, mistyped, cap=120))
     report = run_checks("group")
     assert [(r.status, r.actual) for r in report.results] == [
         ("fail", "relations fail: fgfgf = 1")] * 2
@@ -178,4 +178,25 @@ def test_a_closure_past_its_cap_fails_its_rows_instead_of_raising(monkeypatch):
     rows = {r.id: r for r in report.results}
     assert list(rows) == [fn.id for fn in REGISTRY]
     assert (rows["group.order"].status, rows["group.order"].actual) == (
-        "fail", "closure exceeded cap 1000")
+        "fail", "closure exceeded cap 120")
+
+
+def test_a_value_outside_g_fails_its_rows_instead_of_raising(monkeypatch):
+    # reflections moved off G by adding the identity: G's index lookup
+    # raises ClosureError, a ValueError, and each check that looks one up
+    # fails on that text
+    reflection_of = reflgroup.reflection_of
+    monkeypatch.setattr(reflgroup, "reflection_of",
+                        lambda r: reflection_of(r) + IDENTITY)
+    clear_caches()
+    try:
+        report = run_checks()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    rows = {r.id: r for r in report.results}
+    assert list(rows) == [fn.id for fn in REGISTRY]
+    refl = rows["roots.reflections"]
+    assert refl.status == "fail"
+    assert refl.actual.startswith("QMat2[[") and refl.actual.endswith(
+        " is not an element of the group")

@@ -35,6 +35,17 @@ def test_identity_is_first():
 def test_closure_cap():
     with pytest.raises(ClosureError):
         FiniteGroup.closure(S3_GENS, perm_mul, IDENT4, cap=3)
+    # a group closes at a cap equal to its order, and not one below
+    assert len(FiniteGroup.closure(S3_GENS, perm_mul, IDENT4, cap=6)) == 6
+    with pytest.raises(ClosureError, match="closure exceeded cap 5"):
+        FiniteGroup.closure(S3_GENS, perm_mul, IDENT4, cap=5)
+
+
+def test_index_of_a_value_outside_the_group_names_it():
+    g = s3()
+    assert g.index((0, 2, 1, 3)) == g.edges[0][1]
+    with pytest.raises(ClosureError, match=r"\(3, 2, 1, 0\) is not an element"):
+        g.index((3, 2, 1, 0))
 
 
 def test_table_and_inverse():
