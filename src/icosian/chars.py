@@ -1,7 +1,7 @@
 """Character table of the order-120 group, tensor decompositions, branching.
 
 The nine irreducible characters are built from exact data: the unit-quaternion
-lift, a group closure matched to G's Cayley graph, gives the two
+lift, the quaternion images of f, g, h on G's coset table, gives the two
 2-dimensional characters (swapped by the golden Galois map), the conjugation
 action on pure quaternions gives the 3-dimensional ones, the matrix
 representation itself gives 4b, and the remaining three are defined by
@@ -20,10 +20,10 @@ from math import lcm
 from operator import mul
 
 from .goldnum import GoldVector, dot_pairs, flatten, gold_str
-from .groupkit import ClosureError, FiniteGroup
+from .groupkit import FiniteGroup
 from .qmat2 import QMat2
 from .quat import I, OMEGA, ONE as Q_ONE, PHI, Quat
-from .reflgroup import build_o1, word_string
+from .reflgroup import G_RELATIONS, LETTERS, build_o1, word_string
 
 LABELS = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "5", "6")
 
@@ -49,18 +49,16 @@ class CharVector(GoldVector):
 
 
 def build_quat_lift(group: FiniteGroup[QMat2]) -> tuple[Quat, ...]:
-    """Unit-quaternion image of every element: the closure of the images
-    f -> i, g -> omega, h -> phi, whose Cayley graph must equal the group's.
+    """Unit-quaternion image of every element: f -> i, g -> omega, h -> phi
+    on G's coset table, which must be the group's Cayley graph.
 
-    Equal labelled graphs give lift[edges[i][s]] == lift[i] * images[s] on
-    every edge, |G|*|S| products made once by the closure; by induction on
+    ``from_presentation`` makes the table the images' Cayley graph too, so
+    lift[edges[i][s]] == lift[i] * images[s] on every edge; by induction on
     word length the lift is multiplicative on all |G|^2 pairs.  Otherwise
-    (a different graph, or a closure past |G|) it raises ValueError.
+    (a failing relation, colliding images, another graph) it raises ValueError.
     """
-    try:
-        lift = FiniteGroup.closure((I, OMEGA, PHI), mul, Q_ONE, cap=len(group))
-    except ClosureError:
-        raise ValueError("quaternion lift is not multiplicative") from None
+    lift = FiniteGroup.from_presentation((I, OMEGA, PHI), mul, Q_ONE, LETTERS, G_RELATIONS,
+                                         table=build_o1().edges)
     if lift.edges != group.edges:
         raise ValueError("quaternion lift is not multiplicative")
     return tuple(lift.elements)

@@ -1,18 +1,18 @@
 """Generic finite-group engine over any hashable element type.
 
-Works with any associative multiplication with an identity; groups are built
-by breadth-first product closure with a deterministic element ordering.  The
-closure records the right-Cayley graph, and the multiplication is called only
-on its generator edges; the Cayley table and every further query (orders,
-conjugacy, subgroups, orbits) is integer index work on that graph.  What a
-query derives from the group alone (a conjugation permutation, the
-generating set of a subgroup, the index maps of an orbit item family) is
-kept for the next one.
+Works with any associative multiplication with an identity; a group is
+built by breadth-first product closure, one product per generator edge of
+its right-Cayley graph, or on a presentation's coset table, with products
+only on the relations and along a spanning tree.  The Cayley table and every
+further query (orders, conjugacy, subgroups, orbits) is integer index work
+on that graph.  What a query derives from the group alone (a conjugation
+permutation, the generating set of a subgroup, the index maps of an orbit
+item family) is kept for the next one.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Callable, Generic, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -20,7 +20,81 @@ T = TypeVar("T", bound=Hashable)
 
 
 class ClosureError(ValueError):
-    """Raised when a closure exceeds its cap or an input is inconsistent."""
+    """Raised when a closure or a coset enumeration exceeds its cap, or an
+    input is inconsistent."""
+
+
+def relators(letters: str, relations) -> list[list[int]]:
+    """Signed relations (lhs, sign, rhs), lhs = sign * rhs, as relators lhs rhs^-1,
+    times m for sign -1: m, the lhs of the first (m, -1, ''), gets relator m m."""
+    def word(w):
+        return [2 * letters.index(c) for c in w]
+    minus = next((word(lhs) for lhs, sign, rhs in relations if sign < 0 and not rhs), None)
+    if minus is None and any(sign < 0 for _, sign, _ in relations):
+        raise ValueError("no relation (m, -1, '') names -1")
+    return [word(lhs) + [x ^ 1 for x in reversed(word(rhs))] + (minus if sign < 0 else [])
+            for lhs, sign, rhs in relations]
+
+
+def coset_table(ngens: int, relators, cap: int) -> dict[int, list[int]]:
+    """Todd-Coxeter enumeration of the cosets of the trivial subgroup, HLT
+    style (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    ch. 5): letter 2s is generator s, 2s + 1 its inverse.  Each live coset
+    traces every relator, defining cosets as needed, then fills its row; a
+    coincidence merges the larger coset into the smaller and refiles its
+    entries.  Past ``cap`` defined cosets it raises ClosureError.  Returns
+    each live coset's row on the generators: the presented group's
+    right-Cayley graph, coset 0 the identity."""
+    table, rep, dead = [[None] * (2 * ngens)], [0], []  # rep[c] == c: c is live
+
+    def find(c):
+        while rep[c] != c:
+            c = rep[c]
+        return c
+
+    def define(c, x):
+        if len(table) >= cap:
+            raise ClosureError(f"coset enumeration exceeded cap {cap}")
+        table[c][x] = len(table)
+        rep.append(len(table))
+        table.append([c if y == x ^ 1 else None for y in range(2 * ngens)])
+
+    def join(u, x, v):  # u * x = v, or merge the cosets that forces together
+        u, v = find(u), find(v)
+        w, y = table[u][x], table[v][x ^ 1]
+        if w is None and y is None:
+            table[u][x], table[v][x ^ 1] = v, u
+            return
+        u, v = sorted((find(v), find(w)) if w is not None else (find(u), find(y)))
+        if u != v:
+            rep[v] = u
+            dead.append(v)
+
+    c = 0
+    while c < len(table):
+        for w in relators:
+            if rep[c] == c:  # trace w from both ends, leaving one letter
+                f, i, b, j = c, 0, c, len(w) - 1
+                while True:
+                    while i < j and table[f][w[i]] is not None:
+                        f, i = table[f][w[i]], i + 1
+                    while j > i and table[b][w[j] ^ 1] is not None:
+                        b, j = table[b][w[j] ^ 1], j - 1
+                    if i == j:
+                        break
+                    define(f, w[i])
+                join(f, w[i], b)
+                for gone in dead:  # the list grows as refiling merges more
+                    for x, d in enumerate(table[gone]):
+                        if d is not None:
+                            table[d][x ^ 1] = None
+                            join(gone, x, d)
+                dead.clear()
+        for x in range(2 * ngens):
+            if rep[c] == c and table[c][x] is None:
+                define(c, x)
+        c += 1
+    return {c: row[0::2] for c, row in enumerate(table) if rep[c] == c}
 
 
 class ConjugacyPartition(NamedTuple):
@@ -101,6 +175,40 @@ class FiniteGroup(Generic[T]):
             edges.append(tuple(row))
             i += 1
         return cls(index, edges, parent, letter)
+
+    @classmethod
+    def from_presentation(cls, images: Sequence[T], mul: Callable[[T, T], T], identity: T,
+                          letters: str, relations, table=None) -> "FiniteGroup[T]":
+        """The group of the images, one per letter, on the coset table of the
+        signed relations (``relators``; enumerated up to 1000 cosets unless
+        given), renumbered breadth-first in generator order.  The images
+        satisfy each relation, -1 read as negation, or ValueError names it:
+        so letters -> images is a homomorphism from the presented group, one
+        element per coset.  Each coset's image is its BFS parent's times one
+        generator, and they must be distinct (else ClosureError): then the
+        homomorphism is injective, and the table is the images' Cayley graph.
+        """
+        def value(word):
+            return reduce(mul, [images[letters.index(c)] for c in word]) if word else identity
+        failed = [f"{lhs} = {'-' if sign < 0 else ''}{rhs or '1'}"
+                  for lhs, sign, rhs in relations
+                  if value(lhs) != (value(rhs) if sign > 0 else -value(rhs))]
+        if failed:
+            raise ValueError(f"relations fail: {'; '.join(failed)}")
+        table = table or coset_table(len(letters), relators(letters, relations), cap=1000)
+        order, number, elements, parent, letter = [0], {0: 0}, [identity], [-1], [-1]
+        for i, c in enumerate(order):  # the list grows as cosets are reached
+            for s, d in enumerate(table[c]):
+                if d not in number:
+                    number[d] = len(order)
+                    order.append(d)
+                    elements.append(mul(elements[i], images[s]))
+                    parent.append(i)
+                    letter.append(s)
+        index = dict(zip(elements, range(len(table))))
+        if len(index) != len(table):
+            raise ClosureError(f"{len(table)} cosets have {len(index)} distinct images")
+        return cls(index, [tuple([number[d] for d in table[c]]) for c in order], parent, letter)
 
     # -- basic queries -------------------------------------------------
 

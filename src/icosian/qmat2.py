@@ -1,8 +1,7 @@
 """2x2 quaternion matrices and rank-2 spinors.
 
 Spinors form a right quaternion module; matrices act from the left, so the
-action commutes with right scalar multiplication.  The Hermitian form
-conjugates its first argument.
+action commutes with right scalar multiplication.
 """
 from __future__ import annotations
 
@@ -29,15 +28,6 @@ class Spinor2(Record):
 
     def __str__(self) -> str:
         return f"({self.c1}, {self.c2})"
-
-
-def inner(r: Spinor2, x: Spinor2) -> Quat:
-    """Hermitian form, conjugate-linear in the first slot."""
-    return r.c1.conj() * x.c1 + r.c2.conj() * x.c2
-
-
-def spinor_norm2(r: Spinor2) -> Quat:
-    return inner(r, r)
 
 
 class QMat2(GoldVector):

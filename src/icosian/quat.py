@@ -19,8 +19,8 @@ class Quat(GoldVector):
 
     A GoldVector of its four coefficients: 8 Z[sqrt5] integers over one
     denominator.  The product (one ``hamilton`` call and one gcd reduction)
-    and the conjugate run on the integers, as the sums do, and so does
-    printing, and none builds a Gold; the coefficients ``w``, ``x``, ``y``,
+    the conjugate and the norm run on the integers, as the sums do, and so
+    does printing, and none builds a Gold; the coefficients ``w``, ``x``, ``y``,
     ``z`` are built as Golds on demand.
     """
 
@@ -48,6 +48,12 @@ class Quat(GoldVector):
     def re(self) -> tuple[int, int]:
         """The real part w as the Z[sqrt5] pair (a, b) of (a + b*sqrt5)/den."""
         return self.ints[0:2]
+
+    def norm(self) -> tuple[int, int, int]:
+        """q conj(q) = sum of (u + v*sqrt5)^2 over the coefficients, as (a, b, d)."""
+        m = self.ints
+        return (sum([u * u + 5 * v * v for u, v in zip(m[0::2], m[1::2])]),
+                2 * sum(map(mul, m[0::2], m[1::2])), self.den * self.den)
 
     def __repr__(self) -> str:
         return f"Quat(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"

@@ -1,10 +1,10 @@
 """The order-120 quaternionic reflection group on 2 spinor coordinates.
 
-The group G is closed once, from the f, g, h generator matrices.  Its
-defining relations, words and subgroups (the diagonal subgroup, the group
-the 20 order-3 reflections of the 120 norm-3 roots generate) are index work
-on that closure's Cayley graph, as are the Clifford relations of the order-32
-gamma group closed from the four gamma matrices of signature (1,3).
+The group G is built once on the coset table of the paper's six relations
+on f, g, h, from the generator matrices.  Its words and subgroups (the
+diagonal subgroup, the group the 20 order-3 reflections of the 120 norm-3
+roots generate) are index work on that table, as is the order-32 gamma
+group built from the Clifford relations of four gamma matrices.
 """
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ from functools import cache
 from operator import mul
 
 from .goldnum import Gold
-from .groupkit import ClosureError, FiniteGroup
-from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO, spinor_norm2
+from .groupkit import FiniteGroup
+from .qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO
 from .quat import I, J, K, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 
 THIRD = Quat.of(Gold(1, 0, 3))
-LETTERS = "fgh"  # the generators, in closure order
+LETTERS = "fgh"  # the generators, in table column order
 
 
 @cache
@@ -45,28 +45,6 @@ G_RELATIONS = (("ff", -1, ""), ("ghgh", -1, ""), ("hh", -1, ""),
                ("ggg", 1, ""), ("fgfgfg", 1, ""), ("fhfhfh", 1, ""))
 
 
-def closure_with_relations(gens: tuple[QMat2, ...], letters: str, relations: tuple,
-                           cap: int) -> FiniteGroup[QMat2]:
-    """Close the group of the generators, one letter each, and read both
-    sides of each relation on its Cayley graph by ``word_index``, -1 along
-    the word of MINUS_IDENTITY.  Raises ValueError naming each failing one;
-    the closure raises ClosureError past ``cap`` elements."""
-    group = FiniteGroup.closure(list(gens), mul, IDENTITY, cap=cap)
-    try:
-        minus = group.word(group.index(MINUS_IDENTITY))
-    except ClosureError:  # no -I: each relation with sign -1 fails
-        minus = None
-    failed = []
-    for lhs, sign, rhs in relations:
-        prefix = () if sign > 0 else minus
-        if prefix is None or (group.word_index(map(letters.index, lhs))
-                              != group.word_index([*prefix, *map(letters.index, rhs)])):
-            failed.append(f"{lhs} = {'-' if sign < 0 else ''}{rhs or '1'}")
-    if failed:
-        raise ValueError(f"relations fail: {'; '.join(failed)}")
-    return group
-
-
 @cache
 def base_spinors() -> tuple[Spinor2, ...]:
     """The 10 base spinors: (theta, 0) plus three omega-indexed families.
@@ -91,9 +69,10 @@ def roots() -> tuple[tuple[Spinor2, ...], ...]:
     scalars = scalar_group().elements
     classes = tuple(tuple(base.scale(s) for s in scalars) for base in base_spinors())
     flat = [sp for cls in classes for sp in cls]
-    three = Q_ONE + Q_ONE + Q_ONE
     for sp in flat:
-        if spinor_norm2(sp) != three:
+        # conj(c1) c1 + conj(c2) c2 = N(c1) + N(c2), each (a + b*sqrt5)/d
+        (a, b, d), (x, y, e) = sp.c1.norm(), sp.c2.norm()
+        if (a * e + x * d, b * e + y * d) != (3 * d * e, 0):
             raise ValueError(f"root {sp} has squared norm != 3")
     if len(set(flat)) != len(flat):
         raise ValueError("duplicate root; scalar/spinor convention error")
@@ -128,9 +107,9 @@ def reflection_matrices() -> tuple[QMat2, ...]:
 
 @cache
 def build_o1() -> FiniteGroup[QMat2]:
-    """The full group from the f, g, h generators, closed up to its order 120
-    and G_RELATIONS checked on its Cayley graph; group.order certifies 120."""
-    return closure_with_relations(generators(), LETTERS, G_RELATIONS, cap=120)
+    """The full group G: the f, g, h generators on the coset table of
+    <f, g, h | G_RELATIONS>, whose 120 cosets group.relations certifies."""
+    return FiniteGroup.from_presentation(generators(), mul, IDENTITY, LETTERS, G_RELATIONS)
 
 
 def word_index(letters: str) -> int:
@@ -182,7 +161,7 @@ def two_reflection_census(group: FiniteGroup[QMat2]) -> int:
     return sum(1 for x in range(len(group)) if x not in refl and x in products)
 
 
-GAMMA_LETTERS = "0123"  # gamma_0 .. gamma_3, in closure order
+GAMMA_LETTERS = "0123"  # gamma_0 .. gamma_3, in table column order
 GAMMA_RELATIONS = (("00", 1, ""), ("11", -1, ""), ("22", -1, ""), ("33", -1, ""),
                    ("01", -1, "10"), ("02", -1, "20"), ("03", -1, "30"),
                    ("12", -1, "21"), ("13", -1, "31"), ("23", -1, "32"))
@@ -197,9 +176,10 @@ def gamma_matrices() -> tuple[QMat2, QMat2, QMat2, QMat2]:
 
 @cache
 def gamma_group() -> FiniteGroup[QMat2]:
-    """The group the gammas generate, GAMMA_RELATIONS checked on its Cayley
-    graph, closed up to its order 32; the check gamma.group certifies it."""
-    return closure_with_relations(gamma_matrices(), GAMMA_LETTERS, GAMMA_RELATIONS, cap=32)
+    """The group the gammas generate, on the coset table of GAMMA_RELATIONS,
+    whose 32 cosets the check gamma.group certifies."""
+    return FiniteGroup.from_presentation(gamma_matrices(), mul, IDENTITY, GAMMA_LETTERS,
+                                         GAMMA_RELATIONS)
 
 
 def gamma_reflections() -> tuple[list[int], list[int]]:

@@ -1,8 +1,8 @@
-"""Shared hypothesis strategies for the exact-arithmetic layers."""
+"""Shared hypothesis strategies and references for the exact-arithmetic layers."""
 from hypothesis import strategies as st
 
 from icosian.goldnum import Gold
-from icosian.qmat2 import QMat2
+from icosian.qmat2 import QMat2, Spinor2
 from icosian.quat import Quat
 
 golds = st.builds(
@@ -18,3 +18,13 @@ nonzero_golds = golds.filter(bool)
 quats = st.builds(Quat, golds, golds, golds, golds)
 
 mats = st.builds(QMat2, quats, quats, quats, quats)
+
+
+def inner(r: Spinor2, x: Spinor2) -> Quat:
+    """Reference Hermitian form on spinors, conjugate-linear in the first
+    slot, by Quat products and sums."""
+    return r.c1.conj() * x.c1 + r.c2.conj() * x.c2
+
+
+def spinor_norm2(r: Spinor2) -> Quat:
+    return inner(r, r)

@@ -57,12 +57,12 @@ def test_lift_check_catches_a_corrupted_edge():
 
 
 @pytest.mark.parametrize("image", [
-    -PHI,  # closes at 120 with a different Cayley graph
-    PHI * Quat.of(2),  # of infinite order: the closure runs past the cap
+    -PHI,  # generates the same group, but fails (fh)^3 = 1
+    PHI * Quat.of(2),  # of infinite order: fails (gh)^2 = h^2 = -1 and (fh)^3 = 1
 ])
 def test_a_bad_lift_raises_value_error(monkeypatch, image):
     monkeypatch.setattr(chars, "PHI", image)
-    with pytest.raises(ValueError, match="not multiplicative"):
+    with pytest.raises(ValueError, match=r"^relations fail: (ghgh = -1; hh = -1; )?fhfhfh = 1$"):
         build_quat_lift(build_o1())
 
 

@@ -83,8 +83,9 @@ def test_fixed_space_claim_compares_the_elements(monkeypatch):
 
 
 def test_roots_norm_fails_on_a_bad_root(monkeypatch):
-    # roots.norm reads the checked layer: roots() raises on a wrong norm
-    monkeypatch.setattr(reflgroup, "spinor_norm2", lambda r: Quat.of(2))
+    # roots.norm reads the checked layer: roots() raises on a wrong norm,
+    # here 1 + 1 for every root
+    monkeypatch.setattr(Quat, "norm", lambda q: (1, 0, 1))
     reflgroup.roots.cache_clear()
     try:
         run = next(fn for fn in REGISTRY if fn.id == "roots.norm")
@@ -147,12 +148,16 @@ def test_relation_and_clifford_checks_make_no_matrix_products(monkeypatch):
 
 
 def test_a_failing_relation_turns_every_check_on_g_red(monkeypatch):
-    # a G closed under a mistyped relation table raises, so no check reads it
+    # a G presented by a mistyped relation table raises, so no check reads it
     mistyped = tuple(("fgfgf", 1, "") if rel == ("fgfgfg", 1, "") else rel
                      for rel in reflgroup.G_RELATIONS)
-    monkeypatch.setattr(reflgroup, "build_o1", lambda: reflgroup.closure_with_relations(
-        reflgroup.generators(), reflgroup.LETTERS, mistyped, cap=120))
-    report = run_checks("group")
+    monkeypatch.setattr(reflgroup, "G_RELATIONS", mistyped)
+    reflgroup.build_o1.cache_clear()
+    try:
+        report = run_checks("group")
+    finally:
+        monkeypatch.undo()
+        reflgroup.build_o1.cache_clear()
     assert [(r.status, r.actual) for r in report.results] == [
         ("fail", "relations fail: fgfgf = 1")] * 2
 
@@ -165,9 +170,9 @@ def clear_caches():
                 fn.cache_clear()
 
 
-def test_a_closure_past_its_cap_fails_its_rows_instead_of_raising(monkeypatch):
-    # 1/2 in place of 1/3 gives f infinite order: G's closure runs past its
-    # cap, and each check that reads G fails on that text
+def test_a_wrong_generator_fails_its_rows_instead_of_raising(monkeypatch):
+    # 1/2 in place of 1/3 gives f infinite order: f no longer satisfies the
+    # relations it appears in, and each check that reads G fails on that text
     monkeypatch.setattr(reflgroup, "THIRD", Quat.of(Gold(1, 0, 2)))
     clear_caches()
     try:
@@ -178,7 +183,7 @@ def test_a_closure_past_its_cap_fails_its_rows_instead_of_raising(monkeypatch):
     rows = {r.id: r for r in report.results}
     assert list(rows) == [fn.id for fn in REGISTRY]
     assert (rows["group.order"].status, rows["group.order"].actual) == (
-        "fail", "closure exceeded cap 120")
+        "fail", "relations fail: ff = -1; fgfgfg = 1; fhfhfh = 1")
 
 
 def test_a_value_outside_g_fails_its_rows_instead_of_raising(monkeypatch):

@@ -84,6 +84,14 @@ def test_verify_json_claims(capsys):
     assert len(fixed) == 2 and all(c["pass"] for c in fixed)
     assert "nonzero fixed space" in fixed[0]["name"]
     assert "no fixed vector" in fixed[1]["name"] and fixed[1]["actual"] == "[]"
+    # the presentations' coset counts, the certificates behind G and the
+    # gamma group
+    assert claims.pop("group.relations") == [{
+        "name": "⟨f, g, h | R⟩ enumerates to 120 cosets",
+        "expected": "120", "actual": "120", "pass": True}]
+    assert claims.pop("gamma.group") == [{
+        "name": "the Clifford relations on the four gammas enumerate to 32 cosets",
+        "expected": "32", "actual": "32", "pass": True}]
     del claims["algebra.dims"], claims["roots.reflections"]
     assert all(c == [] for c in claims.values())
 

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from icosian.census import q8_subgroups
-from icosian.groupkit import ClosureError, ConjugacyPartition, FiniteGroup
+from icosian.groupkit import ClosureError, ConjugacyPartition, FiniteGroup, coset_table, relators
 from icosian.qmat2 import IDENTITY
 from icosian.quat import scalar_group
 from icosian.reflgroup import (
-    build_o1, diagonal_subgroup, gamma_group, generators, reflection_group,
+    GAMMA_LETTERS, GAMMA_RELATIONS, G_RELATIONS, LETTERS, build_o1, diagonal_subgroup,
+    gamma_group, gamma_matrices, generators, reflection_group,
 )
 
 
@@ -172,6 +173,74 @@ def test_an_item_sent_into_a_larger_item_raises():
     t1, t2, t3 = (i for i in range(len(g)) if g.element_order(i) == 2)
     with pytest.raises(ClosureError):
         g.conjugation_orbits(range(len(g)), [frozenset({t1}), frozenset({t2, t3})])
+
+
+# coset enumeration: orders of known presentations, and the tables against
+# the product closure of the same generators
+
+def words(letters, *ws):
+    """Relators for ``coset_table``: a letter, or its inverse in upper case."""
+    return [[2 * letters.index(c.lower()) + c.isupper() for c in w] for w in ws]
+
+
+@pytest.mark.parametrize("letters, rels, order", [
+    ("ab", ("aa", "bbb", "ab" * 5), 60),
+    ("ab", ("aa", "bbb", "ab" * 4), 24),
+    # 2I = <s, t | (st)^2 = s^3 = t^5>
+    ("st", ("ststSSS", "SSSttttt"), 120),
+    # <s, t | s^2 = t^3 = (st)^5> is 2I x C19: its abelianisation is Z/19
+    ("st", ("ssTTT", "ss" + "TS" * 5), 2280),
+    ("ab", ("aa", "bbb", "ab" * 7, "abAB" * 4), 168),
+], ids=["A5", "S4", "2I", "2I x C19", "PSL(2, 7)"])
+def test_coset_enumeration_orders(letters, rels, order):
+    assert len(coset_table(len(letters), words(letters, *rels), cap=10_000)) == order
+
+
+def test_g_relators_need_minus_one_squared():
+    # -1 := ff, and the relation ff = -1 itself gives the relator f^4;
+    # without it the six relations present a group of order 360
+    f4, gh, h2, g3, fg, fh = relators(LETTERS, G_RELATIONS)
+    assert f4 == [0, 0, 0, 0] and gh == [2, 4, 2, 4, 0, 0] and h2 == [4, 4, 0, 0]
+    assert len(coset_table(3, [f4, gh, h2, g3, fg, fh], cap=1000)) == 120
+    assert len(coset_table(3, [gh, h2, g3, fg, fh], cap=10_000)) == 360
+
+
+def test_a_sign_needs_a_relation_naming_minus_one():
+    with pytest.raises(ValueError, match="names -1"):
+        relators("ab", (("ab", -1, "ba"),))
+
+
+def test_coset_enumeration_stops_at_its_cap():
+    # <a, b | a^2, b^3> is the infinite modular group
+    with pytest.raises(ClosureError, match="coset enumeration exceeded cap 500"):
+        coset_table(2, words("ab", "aa", "bbb"), cap=500)
+
+
+A5_GENS = [(1, 0, 3, 2, 4), (2, 1, 4, 3, 0)]  # (0 1)(2 3) and (0 2 4)
+
+
+@pytest.mark.parametrize("gens, mul, identity, letters, relations", [
+    (A5_GENS, perm_mul, tuple(range(5)), "ab",
+     (("aa", 1, ""), ("bbb", 1, ""), ("ab" * 5, 1, ""))),
+    (list(generators()), operator.mul, IDENTITY, LETTERS, G_RELATIONS),
+    (list(gamma_matrices()), operator.mul, IDENTITY, GAMMA_LETTERS, GAMMA_RELATIONS),
+], ids=["A5", "G", "gamma"])
+def test_presentation_table_is_the_closure_cayley_graph(gens, mul, identity, letters,
+                                                        relations):
+    # numbered breadth-first in generator order, the table is the closure's
+    # graph index for index, and the tree images are its elements in order
+    closed = FiniteGroup.closure(gens, mul, identity)
+    presented = FiniteGroup.from_presentation(gens, mul, identity, letters, relations)
+    assert presented.edges == closed.edges
+    assert presented.elements == closed.elements
+    assert (presented.parent, presented.letter) == (closed.parent, closed.letter)
+
+
+def test_presentation_table_rejects_a_failing_relation():
+    # (ab)^5 read as (ab)^4 on the A5 generators
+    relations = (("aa", 1, ""), ("bbb", 1, ""), ("abababab", 1, ""))
+    with pytest.raises(ValueError, match=r"^relations fail: abababab = 1$"):
+        FiniteGroup.from_presentation(A5_GENS, perm_mul, tuple(range(5)), "ab", relations)
 
 
 # the table is composed from generator edges; the exhaustive product of

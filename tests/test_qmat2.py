@@ -5,10 +5,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icosian.goldnum import Gold
-from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO, inner, spinor_norm2
+from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO
 from icosian.quat import ONE as Q_ONE, ZERO as Q_ZERO, Quat
 from icosian.reflgroup import THIRD, build_o1, generators
-from conftest import mats, quats
+from conftest import inner, mats, quats, spinor_norm2
 
 spinors = st.builds(Spinor2, quats, quats)
 
@@ -94,6 +94,9 @@ def test_norm_is_real_nonnegative(x):
     n = spinor_norm2(x)
     assert bool(n.w) or n == Quat.of(0)
     assert n.x == Gold(0) and n.y == Gold(0) and n.z == Gold(0)
+    # the integer norms of the two components sum to its real part
+    (a, b, d), (c, e, f) = x.c1.norm(), x.c2.norm()
+    assert n.w == Gold(a, b, d) + Gold(c, e, f)
 
 
 def complex_char_trace(m: QMat2) -> Gold:

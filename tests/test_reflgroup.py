@@ -4,9 +4,9 @@ from operator import mul
 import pytest
 
 from icosian.goldnum import integer_pairs
-from icosian.groupkit import FiniteGroup
+from icosian.groupkit import ClosureError, FiniteGroup, coset_table, relators
 from icosian.linalg import rank
-from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, spinor_norm2
+from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2
 from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
 from icosian.reflgroup import (
     GAMMA_LETTERS,
@@ -16,7 +16,6 @@ from icosian.reflgroup import (
     THIRD,
     base_spinors,
     build_o1,
-    closure_with_relations,
     diagonal_subgroup,
     gamma_group,
     gamma_matrices,
@@ -31,6 +30,7 @@ from icosian.reflgroup import (
     word_index,
     word_string,
 )
+from conftest import spinor_norm2
 
 
 def test_generator_relations():
@@ -74,10 +74,13 @@ def test_relation_words_hold_by_matrix_products(gens, letters, relations):
 
 
 def test_a_mistyped_relation_word_is_named():
+    # the mistyped relations present the trivial group; the matrices fail
+    # the mistyped word before any tree product is made
     mistyped = tuple(("fgfgf", 1, "") if rel == ("fgfgfg", 1, "") else rel
                      for rel in G_RELATIONS)
+    assert len(coset_table(3, relators(LETTERS, mistyped), cap=1000)) == 1
     with pytest.raises(ValueError) as err:
-        closure_with_relations(generators(), LETTERS, mistyped, cap=120)
+        FiniteGroup.from_presentation(generators(), mul, IDENTITY, LETTERS, mistyped)
     assert str(err.value) == "relations fail: fgfgf = 1"
 
 
@@ -90,7 +93,7 @@ def test_the_omega_convention_is_caught_by_the_relations_only():
     _, g, h = generators()
     assert len(FiniteGroup.closure([f, g, h], mul, IDENTITY)) == 120
     with pytest.raises(ValueError) as err:
-        closure_with_relations((f, g, h), LETTERS, G_RELATIONS, cap=120)
+        FiniteGroup.from_presentation((f, g, h), mul, IDENTITY, LETTERS, G_RELATIONS)
     assert str(err.value) == "relations fail: fgfgfg = 1"
 
 
@@ -98,17 +101,29 @@ def test_a_flipped_clifford_sign_is_named():
     flipped = tuple(("01", 1, "10") if rel == ("01", -1, "10") else rel
                     for rel in GAMMA_RELATIONS)
     with pytest.raises(ValueError) as err:
-        closure_with_relations(gamma_matrices(), GAMMA_LETTERS, flipped, cap=32)
+        FiniteGroup.from_presentation(gamma_matrices(), mul, IDENTITY, GAMMA_LETTERS, flipped)
     assert str(err.value) == "relations fail: 01 = 10"
 
 
 def test_a_group_without_minus_identity_fails_its_signed_relations():
     # <g0> = {1, g0} holds no -1: g0^2 = 1 holds and g0^2 = -1 fails by
-    # the relation's message, not by the index lookup's ClosureError
+    # the relation's message, read as -(g0^2) = -I against g0^2 = I
     g0 = gamma_matrices()[0]
     with pytest.raises(ValueError) as err:
-        closure_with_relations((g0,), "0", (("00", 1, ""), ("00", -1, "")), cap=2)
+        FiniteGroup.from_presentation((g0,), mul, IDENTITY, "0",
+                                      (("00", 1, ""), ("00", -1, "")))
     assert str(err.value) == "relations fail: 00 = -1"
+
+
+def test_images_that_satisfy_the_relations_but_collide_raise():
+    # <a | a^4 = 1> has 4 cosets; a -> -1 satisfies the relation, but its
+    # tree images 1, -1, 1, -1 are 2 elements, so the map is not injective
+    a4 = (("aaaa", 1, ""),)
+    assert len(coset_table(1, relators("a", a4), cap=1000)) == 4
+    with pytest.raises(ClosureError, match="4 cosets have 2 distinct images"):
+        FiniteGroup.from_presentation((MINUS_IDENTITY,), mul, IDENTITY, "a", a4)
+    with pytest.raises(ClosureError, match="4 cosets have 2 distinct images"):
+        FiniteGroup.from_presentation((-Q_ONE,), mul, Q_ONE, "a", a4)
 
 
 def test_g_and_h_do_not_commute():
