@@ -1,8 +1,11 @@
-"""Shared hypothesis strategies and references for the exact-arithmetic layers."""
+"""Shared hypothesis strategies, and the guard that keeps Gold arithmetic out
+of every test but test_goldnum: the tests compute their oracles in
+reference.py."""
+import pytest
 from hypothesis import strategies as st
 
 from icosian.goldnum import Gold
-from icosian.qmat2 import QMat2, Spinor2
+from icosian.qmat2 import QMat2
 from icosian.quat import Quat
 
 golds = st.builds(
@@ -19,12 +22,18 @@ quats = st.builds(Quat, golds, golds, golds, golds)
 
 mats = st.builds(QMat2, quats, quats, quats, quats)
 
-
-def inner(r: Spinor2, x: Spinor2) -> Quat:
-    """Reference Hermitian form on spinors, conjugate-linear in the first
-    slot, by Quat products and sums."""
-    return r.c1.conj() * x.c1 + r.c2.conj() * x.c2
+GOLD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                   "__mul__", "__rmul__", "inverse")
 
 
-def spinor_norm2(r: Spinor2) -> Quat:
-    return inner(r, r)
+@pytest.fixture(autouse=True)
+def no_gold_arithmetic(request, monkeypatch):
+    """Outside test_goldnum, a call to a Gold arithmetic method fails the
+    test and names the method; building, comparing, hashing, truth and
+    printing stay allowed."""
+    if request.path.name == "test_goldnum.py":
+        return
+    for name in GOLD_ARITHMETIC:
+        def refuse(*args, name=name):
+            pytest.fail(f"Gold.{name} called outside test_goldnum")
+        monkeypatch.setattr(Gold, name, refuse)

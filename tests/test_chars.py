@@ -16,6 +16,7 @@ from icosian.goldnum import Gold, dot_pairs, flatten
 from icosian.quat import PHI, Quat
 from icosian.reflgroup import build_o1
 from conftest import golds
+from reference import Q5, class_inner, dot, norm, quat, values
 
 
 def ct():
@@ -44,7 +45,7 @@ def test_lift_is_multiplicative():
     # generator edges, which by induction covers all 120^2 products
     lift = build_quat_lift(build_o1())
     assert len(lift) == 120
-    assert all(sum(c * c for c in flatten(q)) == Gold(1) for q in lift)
+    assert all(norm(quat(q)) == Q5(1) for q in lift)
 
 
 def test_lift_check_catches_a_corrupted_edge():
@@ -66,22 +67,25 @@ def test_a_bad_lift_raises_value_error(monkeypatch, image):
         build_quat_lift(build_o1())
 
 
-def reference_inner(table, chi, psi):
-    """The inner product as a sum of Gold products: the integer form's reference."""
-    total = Gold(0)
-    for size, a, b in zip(table.class_sizes, flatten(chi), flatten(psi)):
-        total = total + a * b * Gold(size)
-    return total * Gold(len(table.group)).inverse()
+def assert_decomposes(table, chi, mults):
+    """decompose's reference: each multiplicity is the inner product with
+    its irreducible, none is 0, and the irreducibles so counted sum to chi."""
+    x, total = values(flatten(chi)), [Q5(0)] * len(table.classes)
+    assert set(mults) <= set(LABELS) and all(m > 0 for m in mults.values())
+    for label, irr in table.by_label.items():
+        m, y = Q5(mults.get(label, 0)), values(flatten(irr))
+        assert class_inner(table.class_sizes, x, y) == m
+        total = [t + m * v for t, v in zip(total, y)]
+    assert total == x
 
 
 def test_row_orthonormality():
     # each irreducible decomposes as itself once, which the construction
-    # requires; the 81 pairings also hold as sums of Gold products
+    # requires; the 81 pairings also hold in the reference arithmetic
     table = ct()
-    for i, (label, a) in enumerate(table.by_label.items()):
-        assert table.decompose(a) == {label: 1}
-        for j, b in enumerate(table.irreducibles):
-            assert reference_inner(table, a, b) == Gold(1 if i == j else 0)
+    for label, chi in table.by_label.items():
+        assert table.decompose(chi) == {label: 1}
+        assert_decomposes(table, chi, {label: 1})
 
 
 class_functions = st.lists(golds, min_size=9, max_size=9).map(
@@ -92,34 +96,30 @@ class_functions = st.lists(golds, min_size=9, max_size=9).map(
        st.lists(st.integers(min_value=-30, max_value=30), min_size=9, max_size=9),
        st.integers(min_value=1, max_value=130))
 def test_dot_pairs_matches_gold_sum_on_class_functions(chi, psi, weights, den):
-    total = Gold(0)
-    for w, a, b in zip(weights, flatten(chi), flatten(psi)):
-        total = total + a * b * Gold(w)
     rat, root = dot_pairs(chi.ints, psi.ints, weights)
-    assert Gold(rat, root, chi.den * psi.den * den) == total * Gold(den).inverse()
+    assert Q5(rat, root, chi.den * psi.den * den) == \
+        dot(weights, values(flatten(chi)), values(flatten(psi))) * Q5(1, 0, den)
 
 
 @given(class_functions, class_functions)
 def test_class_function_arithmetic_matches_gold_values(chi, psi):
-    x, y = flatten(chi), flatten(psi)
-    assert flatten(chi * psi) == [a * b for a, b in zip(x, y)]
-    assert flatten(chi + psi) == [a + b for a, b in zip(x, y)]
-    assert flatten(chi - psi) == [a - b for a, b in zip(x, y)]
-    assert flatten(chi.galois()) == [Gold(a.na, -a.nb, a.den) for a in x]
-    assert CharVector(x) == chi and hash(CharVector(x)) == hash(chi)
+    x, y = values(flatten(chi)), values(flatten(psi))
+    assert values(flatten(chi * psi)) == [a * b for a, b in zip(x, y)]
+    assert values(flatten(chi + psi)) == [a + b for a, b in zip(x, y)]
+    assert values(flatten(chi - psi)) == [a - b for a, b in zip(x, y)]
+    coeffs = flatten(chi)
+    assert flatten(chi.galois()) == [Gold(a.na, -a.nb, a.den) for a in coeffs]
+    assert CharVector(coeffs) == chi and hash(CharVector(coeffs)) == hash(chi)
 
 
 def test_column_orthogonality():
     table = ct()
     assert table.columns_orthogonal()
-    n = len(table.classes)
-    for c in range(n):
-        for d in range(n):
-            s = Gold(0)
-            for values in map(flatten, table.irreducibles):
-                s = s + values[c] * values[d]
-            want = Gold(120, 0, table.class_sizes[c]) if c == d else Gold(0)
-            assert s == want
+    columns = list(zip(*(values(flatten(chi)) for chi in table.irreducibles)))
+    for c, x in enumerate(columns):
+        for d, y in enumerate(columns):
+            want = Q5(120, 0, table.class_sizes[c]) if c == d else Q5(0)
+            assert dot([1] * len(x), x, y) == want
 
 
 def test_column_check_fails_on_a_repeated_character(monkeypatch):
@@ -138,18 +138,14 @@ def test_fs_indicators():
             for label, chi in zip(LABELS, table.irreducibles)} == expected
 
 
-def reference_fs_indicator(table, chi):
-    """(1/|G|) sum chi(x^2) as a sum of Gold values: fs_indicator's reference."""
-    total, values = Gold(0), flatten(chi)
-    for i in range(len(table.group)):
-        total = total + values[table.partition.class_of[table.group.table[i][i]]]
-    return total * Gold(len(table.group)).inverse()
-
-
 def test_fs_indicator_matches_gold_sum():
+    # (1/|G|) sum of chi(x^2) over the elements x, in the reference arithmetic
     table = ct()
+    t, class_of, n = table.group.table, table.partition.class_of, len(table.group)
     for chi in table.irreducibles:
-        assert Gold(table.fs_indicator(chi)) == reference_fs_indicator(table, chi)
+        x = values(flatten(chi))
+        squares = [x[class_of[t[i][i]]] for i in range(n)]
+        assert Q5(table.fs_indicator(chi)) == class_inner([1] * n, squares, [Q5(1)] * n)
 
 
 def test_galois_label_action():
@@ -276,39 +272,21 @@ def test_hyperspin_dimensions():
         assert flatten(table.hyperspin(tj))[0] == Gold(tj + 1)
 
 
-def reference_hyperspin(table, two_j):
-    """The Chebyshev recursion on Gold values: hyperspin's reference."""
-    prev = [Gold(1) for _ in table.classes]
-    if two_j == 0:
-        return prev
-    two_a = cur = flatten(table.by_label["2a"])
-    for _ in range(two_j - 1):
-        prev, cur = cur, [a * c - p for a, c, p in zip(two_a, cur, prev)]
-    return cur
-
-
-def reference_decompose(table, chi):
-    """Multiplicities by Gold inner products, reconstructed by adding each
-    irreducible once per unit of multiplicity: decompose's reference."""
-    mults = {}
-    recon = [Gold(0) for _ in table.classes]
-    for label, irr in zip(LABELS, table.irreducibles):
-        m = reference_inner(table, chi, irr)
-        assert m.is_integer and m.na >= 0
-        if m.na:
-            mults[label] = m.na
-            for _ in range(m.na):
-                recon = [r + v for r, v in zip(recon, flatten(irr))]
-    assert recon == flatten(chi)
-    return mults
+def assert_spin_characters(table, spins):
+    """hyperspin's reference: spins[k], the character of spin k/2, is 1 at
+    k = 0, 2a at k = 1, and 2a * spins[k-1] - spins[k-2] after that."""
+    two_a = values(flatten(table.by_label["2a"]))
+    assert spins[0] == [Q5(1)] * len(two_a) and spins[1] == two_a
+    for prev, cur, nxt in zip(spins, spins[1:], spins[2:]):
+        assert nxt == [a * c - p for a, c, p in zip(two_a, cur, prev)]
 
 
 def test_hyperspin_and_its_decomposition_match_gold_references():
     table = ct()
-    for tj in range(41):
-        chi = table.hyperspin(tj)
-        assert flatten(chi) == reference_hyperspin(table, tj)
-        assert table.decompose(chi) == reference_decompose(table, chi)
+    spins = [table.hyperspin(tj) for tj in range(41)]
+    assert_spin_characters(table, [values(flatten(chi)) for chi in spins])
+    for chi in spins:
+        assert_decomposes(table, chi, table.decompose(chi))
 
 
 def test_decompose_matches_gold_reference_on_products():
@@ -316,18 +294,19 @@ def test_decompose_matches_gold_reference_on_products():
     for k in (2, 3):
         for labels in combinations_with_replacement(LABELS, k):
             chi = reduce(mul, (table.by_label[lab] for lab in labels))
-            assert table.decompose(chi) == reference_decompose(table, chi)
+            assert_decomposes(table, chi, table.decompose(chi))
 
 
 def test_spin_sequence_is_kept_and_extended_in_any_order():
     down = CharTable(build_o1())
-    for tj in [24, *range(23, -1, -1)]:
-        assert flatten(down.hyperspin(tj)) == reference_hyperspin(down, tj)
+    spins = {tj: values(flatten(down.hyperspin(tj))) for tj in [24, *range(23, -1, -1)]}
+    assert_spin_characters(down, [spins[tj] for tj in range(25)])
     assert len(down._spins) == 25
-    up = CharTable(build_o1())
+    up, spins = CharTable(build_o1()), []
     for tj in range(25):
-        assert flatten(up.hyperspin(tj)) == reference_hyperspin(up, tj)
+        spins.append(values(flatten(up.hyperspin(tj))))
         assert len(up._spins) == tj + 1
+    assert_spin_characters(up, spins)
     rows = CharTable(build_o1())
     rows.hyperspin_table(7)
     assert len(rows._spins) == 8

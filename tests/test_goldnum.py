@@ -139,6 +139,7 @@ def test_vectors_of_different_classes_do_not_combine():
     for op, symbol, x, y in [(operator.add, r"\+", Q_ONE, IDENTITY),
                              (operator.sub, "-", IDENTITY, I),
                              (operator.mul, r"\*", chi, I),
+                             (operator.mul, r"\*", I, Gold(2)),
                              (operator.add, r"\+", Q_ONE, 1)]:
         with pytest.raises(TypeError, match=f"for {symbol}: '{type(x).__name__}'"):
             op(x, y)

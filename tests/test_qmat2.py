@@ -8,19 +8,10 @@ from icosian.goldnum import Gold
 from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2, ZERO
 from icosian.quat import ONE as Q_ONE, ZERO as Q_ZERO, Quat
 from icosian.reflgroup import THIRD, build_o1, generators
-from conftest import inner, mats, quats, spinor_norm2
+from conftest import mats, quats
+from reference import Q5, conj, inner, mat, mmul, qadd, qmul, quat, spinor
 
 spinors = st.builds(Spinor2, quats, quats)
-
-
-def entrywise_product(m: QMat2, n: QMat2) -> QMat2:
-    """The matrix product as Quat products and sums: the kernel's reference."""
-    return QMat2(
-        m.m11 * n.m11 + m.m12 * n.m21,
-        m.m11 * n.m12 + m.m12 * n.m22,
-        m.m21 * n.m11 + m.m22 * n.m21,
-        m.m21 * n.m12 + m.m22 * n.m22,
-    )
 
 
 THIRDS = QMat2(Quat(Gold(1, 2, 3), Gold(-2, 0, 3), Gold(0, 1, 3), Gold(5)),
@@ -31,13 +22,18 @@ QUARTERS = QMat2(Quat(Gold(3, -1, 4), Gold(1, 0, 4), Gold(-7, 3, 4), Gold(0, 1, 
                  Quat.of(0, 2, 0, -3), Quat(Gold(0, 3, 4), Gold(1, 0, 2), Gold(1), Gold(-3, 1, 4)))
 
 
+def re_trace(m: QMat2) -> Q5:
+    """Re m11 + Re m22, half the character 4b, off ``QMat2.re_trace``."""
+    return Q5(*m.re_trace(), m.den)
+
+
 @given(mats, mats)
 @example(ZERO, ZERO)
 @example(ZERO, IDENTITY)
 @example(IDENTITY, THIRDS)
 @example(THIRDS, QUARTERS)
 def test_product_matches_entrywise_formula(a, b):
-    assert a * b == entrywise_product(a, b)
+    assert mat(a * b) == mmul(mat(a), mat(b))
 
 
 E12 = QMat2(Q_ZERO, Q_ONE, Q_ZERO, Q_ZERO)
@@ -47,19 +43,23 @@ E21 = QMat2(Q_ZERO, Q_ZERO, Q_ONE, Q_ZERO)
 def test_product_kernel_matches_entrywise_route_on_fixed_pairs():
     elements = list(build_o1().elements)
     for m, n in zip(elements, elements[7:] + elements[:7]):
-        assert m * n == entrywise_product(m, n)
+        assert mat(m * n) == mmul(mat(m), mat(n))
     fixed = (THIRDS, QUARTERS, E12, E21)
     for m in fixed:
         for n in fixed:
-            assert m * n == entrywise_product(m, n)
+            assert mat(m * n) == mmul(mat(m), mat(n))
     assert E12 * E21 == QMat2.diag(Q_ONE, Q_ZERO) and E21 * E21 == ZERO
 
 
 def test_generator_edge_products_match_entrywise_formula():
+    # the 360 exact products that build G, each against the entrywise formula
     group, gens = build_o1(), generators()
-    for x in group.elements:
-        for gen in gens:
-            assert x * gen == entrywise_product(x, gen)
+    elements, gen_mats = [mat(x) for x in group.elements], [mat(g) for g in gens]
+    for i, x in enumerate(group.elements):
+        for s, gen in enumerate(gens):
+            want = mmul(elements[i], gen_mats[s])
+            assert mat(x * gen) == want
+            assert elements[group.edges[i][s]] == want
 
 
 def test_identity():
@@ -79,40 +79,36 @@ def test_matrix_ring_axioms(a, b, c):
 @given(spinors, spinors, quats)
 def test_inner_sesquilinear(r, x, s):
     # conjugate-linear in the first slot, linear in the second
-    assert inner(r.scale(s), x) == s.conj() * inner(r, x)
-    assert inner(r, x.scale(s)) == inner(r, x) * s
+    r_x = inner(spinor(r), spinor(x))
+    assert inner(spinor(r.scale(s)), spinor(x)) == qmul(conj(quat(s)), r_x)
+    assert inner(spinor(r), spinor(x.scale(s))) == qmul(r_x, quat(s))
 
 
 @given(spinors, spinors, spinors)
 def test_inner_additive(r, x, y):
     total = Spinor2(x.c1 + y.c1, x.c2 + y.c2)
-    assert inner(r, total) == inner(r, x) + inner(r, y)
+    r = spinor(r)
+    assert inner(r, spinor(total)) == qadd(inner(r, spinor(x)), inner(r, spinor(y)))
 
 
 @given(spinors)
 def test_norm_is_real_nonnegative(x):
-    n = spinor_norm2(x)
-    assert bool(n.w) or n == Quat.of(0)
-    assert n.x == Gold(0) and n.y == Gold(0) and n.z == Gold(0)
+    n = inner(spinor(x), spinor(x))
+    assert bool(n[0]) or n == (Q5(0),) * 4
+    assert n[1:] == (Q5(0),) * 3
     # the integer norms of the two components sum to its real part
     (a, b, d), (c, e, f) = x.c1.norm(), x.c2.norm()
-    assert n.w == Gold(a, b, d) + Gold(c, e, f)
-
-
-def complex_char_trace(m: QMat2) -> Gold:
-    """2*(Re m11 + Re m22), the trace of the 4-dim complexification (the
-    character 4b), on Golds."""
-    return (m.m11.w + m.m22.w) * 2
+    assert n[0] == Q5(a, b, d) + Q5(c, e, f)
 
 
 @given(mats)
 def test_complex_char_trace_of_sum(m):
-    assert complex_char_trace(m + m) == complex_char_trace(m) * 2
+    assert re_trace(m + m) == re_trace(m) * Q5(2)
 
 
 @given(mats, mats)
 def test_trace_cyclic(a, b):
-    assert complex_char_trace(a * b) == complex_char_trace(b * a)
+    assert re_trace(a * b) == re_trace(b * a)
 
 
 @given(mats)

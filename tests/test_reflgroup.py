@@ -3,11 +3,10 @@ from operator import mul
 
 import pytest
 
-from icosian.goldnum import integer_pairs
 from icosian.groupkit import ClosureError, FiniteGroup, coset_table, relators
-from icosian.linalg import rank
+from icosian.linalg import rank as linalg_rank
 from icosian.qmat2 import IDENTITY, MINUS_IDENTITY, QMat2, Spinor2
-from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, Quat, THETA, ZERO as Q_ZERO, scalar_group
+from icosian.quat import I, OMEGA, ONE as Q_ONE, PHI, THETA, ZERO as Q_ZERO, scalar_group
 from icosian.reflgroup import (
     GAMMA_LETTERS,
     GAMMA_RELATIONS,
@@ -30,7 +29,7 @@ from icosian.reflgroup import (
     word_index,
     word_string,
 )
-from conftest import spinor_norm2
+from reference import Q5, inner, mat, qmul, rank, spinor
 
 
 def test_generator_relations():
@@ -166,7 +165,7 @@ def test_roots_count_and_norm():
     rs = [r for cls in roots() for r in cls]
     assert len(rs) == 120
     assert len(set(rs)) == 120
-    assert all(spinor_norm2(r) == Quat.of(3) for r in rs)
+    assert all(inner(spinor(r), spinor(r)) == (Q5(3), Q5(0), Q5(0), Q5(0)) for r in rs)
 
 
 def test_root_classes_are_base_spinors_times_scalars():
@@ -224,26 +223,17 @@ def test_fixed_space_census_matches_reflections():
     assert set(group_reflections(g)) == refl_idx
 
 
-# left multiplication by q = w + xi + yj + zk as a 4x4 matrix on (w, x, y, z):
-# entry (k, c) is sign * q[component] for the pair at position c of row k
-_LEFT_MUL = (
-    ((0, 1), (1, -1), (2, -1), (3, -1)),
-    ((1, 1), (0, 1), (3, -1), (2, 1)),
-    ((2, 1), (3, 1), (0, 1), (1, -1)),
-    ((3, 1), (2, -1), (1, 1), (0, 1)),
-)
+UNITS = tuple(tuple(Q5(int(k == e)) for k in range(4)) for e in range(4))  # 1, i, j, k
 
 
 def fixed_space_dim(m: QMat2) -> int:
     """Reference for ``group_reflections``: the golden-field dimension of
-    {x : m x = x}, 8 minus the rank of the 8x8 exact system of m - 1.  Each
-    row is a signed permutation of one block row's Z[sqrt5] integers (the
-    left-multiplication rows of its two entries), read off ``(m - 1).ints``."""
-    d = (m - IDENTITY).ints
-    rows = [[sign * d[start + 8 * half + 2 * c + part]
-             for half in (0, 1) for c, sign in pattern for part in (0, 1)]
-            for start in (0, 16) for pattern in _LEFT_MUL]
-    return 8 - rank(rows)
+    {x : m x = x}, 8 minus the rank of the 8x8 exact system of m - 1.  Row
+    (r, k) holds component k of d_rc e for each entry d_rc of m - 1 and
+    each unit e, the columns of left multiplication by d_rc."""
+    d = mat(m - IDENTITY)
+    return 8 - rank([[qmul(d[2 * r + c], e)[k] for c in (0, 1) for e in UNITS]
+                     for r in (0, 1) for k in range(4)])
 
 
 def test_projector_census_matches_fixed_space_reference():
@@ -269,32 +259,31 @@ def test_fixed_space_dims():
     assert fixed_space_dim(MINUS_IDENTITY) == 0
 
 
-def _left_mul_matrix(q: Quat):
-    a, b, c, d = q.w, q.x, q.y, q.z
-    return [
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ]
+# left multiplication by q = w + xi + yj + zk as a 4x4 matrix on (w, x, y, z):
+# entry (k, c) is sign * q[component] for the pair at position c of row k
+_LEFT_MUL = (
+    ((0, 1), (1, -1), (2, -1), (3, -1)),
+    ((1, 1), (0, 1), (3, -1), (2, 1)),
+    ((2, 1), (3, 1), (0, 1), (1, -1)),
+    ((3, 1), (2, -1), (1, 1), (0, 1)),
+)
 
 
-def _fixed_space_dim_by_gold(m):
-    """Reference: the 8x8 system of m - 1 built from Gold entries."""
-    d = m - IDENTITY
-    blocks = [
-        (_left_mul_matrix(d.m11), _left_mul_matrix(d.m12)),
-        (_left_mul_matrix(d.m21), _left_mul_matrix(d.m22)),
-    ]
-    rows = [integer_pairs(rl + rr)[0]
-            for left, right in blocks for rl, rr in zip(left, right)]
-    return 8 - rank(rows)
+def _fixed_space_dim_on_integers(m: QMat2) -> int:
+    """The same dimension through ``icosian.linalg.rank``: each row of the
+    8x8 system is a signed permutation of one block row's Z[sqrt5] integers,
+    read off ``(m - 1).ints``."""
+    d = (m - IDENTITY).ints
+    rows = [[sign * d[start + 8 * half + 2 * c + part]
+             for half in (0, 1) for c, sign in pattern for part in (0, 1)]
+            for start in (0, 16) for pattern in _LEFT_MUL]
+    return 8 - linalg_rank(rows)
 
 
 def test_fixed_space_dim_matches_gold_reference_on_all_of_g():
     g = build_o1()
     dims = [fixed_space_dim(m) for m in g.elements]
-    assert dims == [_fixed_space_dim_by_gold(m) for m in g.elements]
+    assert dims == [_fixed_space_dim_on_integers(m) for m in g.elements]
     assert sorted(set(dims)) == [0, 4, 8]
 
 

@@ -26,6 +26,7 @@ from icosian.spans import (
     trace_pairs,
 )
 from conftest import golds, mats
+from reference import Q5, dot, madd, mat, values
 
 coord_vectors = st.lists(golds, min_size=16, max_size=16)
 small_golds = st.builds(Gold, st.integers(-2, 2), st.integers(-1, 1), st.sampled_from([1, 2]))
@@ -61,8 +62,7 @@ def test_flatten_unflatten_roundtrip(coords):
 
 @given(mats, mats)
 def test_flatten_additive(a, b):
-    fa, fb = flatten(a), flatten(b)
-    assert flatten(a + b) == [x + y for x, y in zip(fa, fb)]
+    assert mat(a + b) == madd(mat(a), mat(b))
 
 
 @given(mats)
@@ -236,9 +236,8 @@ def assert_trace_form_is_the_coordinate_dot_product(group, pairs):
     assert tau[0] == (2 * den, 0)
     t, inv = group.table, group.inverse
     for i, j in pairs:
-        dot = sum((a * b for a, b in zip(flatten(group.elements[i]),
-                                         flatten(group.elements[j]))), Gold(0))
-        assert Gold(*tau[t[inv[i]][j]], den) == dot
+        x, y = (values(flatten(group.elements[k])) for k in (i, j))
+        assert Q5(*tau[t[inv[i]][j]], den) == dot([1] * 16, x, y)
 
 
 def test_trace_form_is_the_coordinate_dot_product():
